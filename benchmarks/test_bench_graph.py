@@ -18,6 +18,6 @@ def test_bench_graph_leafspine(benchmark):
 
 
 def test_bench_graph_faults(benchmark):
-    events = benchmark.pedantic(run_engine_graph_faults, args=(2_000,),
-                                rounds=1, iterations=1)
-    assert events >= 4_000
+    tasks = benchmark.pedantic(run_engine_graph_faults, args=(2_000,),
+                               rounds=1, iterations=1)
+    assert tasks == 2_000

@@ -92,7 +92,7 @@ class NodeAgent:
         "computed", "max_buffers_seen", "max_held_seen",
         "transfers_started", "preemptions",
         "alive", "link_down", "deferred_requests", "suspect",
-        "probe_timers", "sweep_timer",
+        "probe_timers", "sweep_timer", "sweep_origin",
         "request_timeout", "max_retries", "backoff_factor",
     )
 
@@ -157,6 +157,9 @@ class NodeAgent:
         self.suspect = _NO_SUSPECTS  # child ids frozen out of the schedule
         self.probe_timers: Optional[Dict[int, object]] = None
         self.sweep_timer = None
+        #: Origin of this node's ``request_timeout`` sweep grid (``None``
+        #: until :meth:`_start_sweep` arms liveness detection).
+        self.sweep_origin = None
         self.request_timeout = config.request_timeout
         self.max_retries = config.max_retries
         self.backoff_factor = config.backoff_factor
@@ -671,24 +674,53 @@ class NodeAgent:
             self.try_send()
 
     def _start_sweep(self) -> None:
-        self.sweep_timer = self.env.call_in(
-            self.request_timeout, self._liveness_sweep)
+        """Arm liveness detection: this node's sweep grid starts now."""
+        self.sweep_origin = self.env.now
+        self._arm_sweep()
+
+    def _arm_sweep(self) -> None:
+        """Schedule one :meth:`_liveness_sweep` at the next tick of the
+        grid (``origin + k * request_timeout``, ``k >= 1``) if a child is
+        unreachable and not yet suspect.
+
+        Reachability only changes inside fault handlers, which end by
+        calling this on every alive agent, so a sweep runs only when it
+        has something to detect — at the same tick an always-on periodic
+        sweep would have detected it.
+        """
+        if (self.sweep_timer is not None or self.sweep_origin is None
+                or not self.alive):
+            return
+        engine = self.engine
+        if engine.completed >= engine.num_tasks:
+            return
+        suspect = self.suspect
+        for child in self.children:
+            if child.id not in suspect and (not child.alive
+                                            or child.link_down):
+                break
+        else:
+            return
+        origin = self.sweep_origin
+        timeout = self.request_timeout
+        ticks = max(1, -(-(self.env.now - origin) // timeout))
+        self.sweep_timer = self.env.call_at(origin + ticks * timeout,
+                                            self._liveness_sweep)
 
     def _liveness_sweep(self) -> None:
-        """Periodic liveness check of the children (the request-timeout
-        clock): any unreachable non-suspect child enters suspicion even if
-        no send to it happened to fail first."""
+        """Liveness check of the children at a grid tick (the
+        request-timeout clock): any unreachable non-suspect child enters
+        suspicion even if no send to it happened to fail first."""
         self.sweep_timer = None
         if not self.alive:
             return
         engine = self.engine
         if engine.completed >= engine.num_tasks:
-            return  # stop rescheduling so the run can terminate
+            return  # job done; let the calendar drain
         for child in self.children:
             if (child.id not in self.suspect
                     and (not child.alive or child.link_down)):
                 self._mark_suspect(child)
-        self._start_sweep()
 
     # -------------------------------------------------------- warp support
     def fingerprint_state(self, now) -> tuple:

@@ -83,10 +83,11 @@ class ProtocolConfig:
     #: its ~20% reached-optimal figure for non-IC.  Set to ``False`` for
     #: the undamped literal reading.
     growth_cooldown: bool = True
-    #: Liveness-probe period (virtual time) of the fault-recovery protocol:
-    #: parents check each child's reachability this often while a
-    #: :class:`~repro.platform.faults.FaultSchedule` is active.  Ignored
-    #: (no probes, no timers) when the run has no fault schedule.
+    #: Liveness period (virtual time) of the fault-recovery protocol: the
+    #: spacing of each node's detection grid (a fault that leaves a child
+    #: unreachable is noticed at the parent's next tick, with no timer
+    #: between faults) and the first probe delay of a suspect child.
+    #: Ignored (no grid, no probes) when the run has no fault schedule.
     request_timeout: int = 50
     #: Consecutive failed probes before a suspect child is declared dead
     #: and its subtree's lost tasks are reclaimed to the root.

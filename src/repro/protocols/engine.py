@@ -357,6 +357,7 @@ class ProtocolEngine:
             # Nobody is left to detect this death (the subtree was already
             # partitioned or detached): the loss surfaces immediately.
             self._flush_pending_losses(victim)
+        self._arm_liveness_sweeps()
         if self.check_invariants:
             self._check_conservation()
 
@@ -368,9 +369,8 @@ class ProtocolEngine:
         if self._recorder is not None:
             self._recorder.record(self.env.now, _trace.LINK_DOWN, agent.id)
         parent = agent.parent
-        if parent is None or not parent.alive:
-            return
-        transfer = parent.current_transfer
+        transfer = (parent.current_transfer
+                    if parent is not None and parent.alive else None)
         if transfer is not None and transfer.child is agent:
             # The in-flight task dies on the wire.  (A *shelved* transfer
             # is parked at the parent and survives the outage.)
@@ -387,6 +387,7 @@ class ProtocolEngine:
                 self._pending_lost.get(agent.id, 0) + 1)
             parent._mark_suspect(agent)
             parent.try_send()
+        self._arm_liveness_sweeps()
         if self.check_invariants:
             self._check_conservation()
 
@@ -399,8 +400,7 @@ class ProtocolEngine:
         if agent.alive and parent is not None and parent.alive:
             if agent.id in parent.suspect or agent not in parent.children:
                 parent._readmit_child(agent)  # flushes the pending pool
-                return
-            if agent.deferred_requests:
+            elif agent.deferred_requests:
                 # Healed before the parent ever noticed: announce the
                 # requests deferred during the outage.
                 parent.child_requests += agent.deferred_requests
@@ -410,8 +410,16 @@ class ProtocolEngine:
                 elif parent.interruptible:
                     parent._maybe_preempt()
         self._flush_pending_losses(agent)
+        self._arm_liveness_sweeps()
         if self.check_invariants:
             self._check_conservation()
+
+    def _arm_liveness_sweeps(self) -> None:
+        """End of every fault handler: each alive parent left with an
+        unreachable, non-suspect child arms one sweep at its next grid
+        tick (agent id order, so same-tick sweeps fire deterministically)."""
+        for agent in self.nodes:
+            agent._arm_sweep()
 
     def _flush_pending_losses(self, agent: NodeAgent, extra: int = 0) -> None:
         """Reclaim task instances destroyed around ``agent`` into the

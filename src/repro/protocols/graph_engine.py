@@ -152,7 +152,9 @@ class GraphFaultDriver:
     5. kick every alive agent in deterministic (lane, id) order so the
        protocol reacts autonomously (suspect/probe/backoff against the
        next hop, pending-loss reclamation into the repository);
-    6. optionally run the per-lane task-conservation checker.
+    6. arm one liveness sweep, at its next ``request_timeout`` grid tick,
+       for every parent left with an unreachable, non-suspect child;
+    7. optionally run the per-lane task-conservation checker.
 
     Recovery itself is the *unmodified* autonomous protocol: the driver
     only injects the physical facts; detection (suspicion, probing with
@@ -216,6 +218,7 @@ class GraphFaultDriver:
         self._kill_crossing([link])
         self._refresh_routes(peer=link)
         self._kick()
+        self._arm_sweeps()
         self._check()
 
     def _on_edge_repair(self, link: int) -> None:
@@ -224,6 +227,7 @@ class GraphFaultDriver:
         # only new legs — and unparked hosts — use the improved paths.
         self._refresh_routes(peer=link)
         self._kick()
+        self._arm_sweeps()
         self._check()
 
     def _on_switch_crash(self, node: int) -> None:
@@ -231,6 +235,7 @@ class GraphFaultDriver:
         self._kill_crossing(downed)
         self._refresh_routes()
         self._kick()
+        self._arm_sweeps()
         self._check()
 
     def _on_degrade(self, event: DegradeEvent) -> None:
@@ -305,6 +310,7 @@ class GraphFaultDriver:
                 lane._flush_pending_losses(victim)
         self._refresh_routes()
         self._kick()
+        self._arm_sweeps()
         self._check()
 
     # ------------------------------------------------------------ plumbing
@@ -429,6 +435,7 @@ class GraphFaultDriver:
                         and link in agent.route):
                     lane._recorder.record(self.env.now, _trace.DEGRADE,
                                           agent.id, link)
+        self._arm_sweeps()
         self._check()
 
     def _kick(self) -> None:
@@ -442,6 +449,12 @@ class GraphFaultDriver:
                     agent.try_send()
                 elif agent.interruptible:
                     agent._maybe_preempt()
+
+    def _arm_sweeps(self) -> None:
+        """Arm liveness detection for every parent this event left with
+        an unreachable, non-suspect child, in (lane, overlay id) order."""
+        for lane in self.lanes:
+            lane._arm_liveness_sweeps()
 
     def _check(self) -> None:
         if self.check_invariants:
@@ -534,8 +547,8 @@ class GraphProtocolEngine(ProtocolEngine):
             driver.arm(self.env)
         super()._arm()
         if driver is not None:
-            # Liveness sweeps (base class arms them only for its own tree
-            # fault path, which is inert here).
+            # Sweep grids start at this lane's arming (the base class arms
+            # them only for its own tree fault path, which is inert here).
             for agent in self.nodes:
                 agent._start_sweep()
 

@@ -8,6 +8,8 @@ silently blow up ensemble experiments if a change made them quadratic.
 import pytest
 
 from repro.platform import PlatformTree, generate_tree
+from repro.platform.examples import figure2a_tree
+from repro.platform.faults import CrashEvent, FaultSchedule
 from repro.protocols import ProtocolConfig, simulate
 
 IC3 = ProtocolConfig.interruptible(3)
@@ -41,6 +43,19 @@ class TestEventComplexity:
         tree = generate_tree(seed=11)
         result = simulate(tree, IC3, 1500)
         assert result.preemptions < 6 * 1500
+
+    @pytest.mark.parametrize("num_tasks", [250, 1000])
+    def test_fault_cost_independent_of_makespan(self, num_tasks):
+        """One crash must cost events in proportion to the fault, not to
+        the virtual time the run lasts: the Figure 2a root's single
+        10^9-step task keeps the run alive long after the crash, and no
+        liveness timer may tick through that idle stretch."""
+        faults = FaultSchedule([CrashEvent(at_time=150, node=2)])
+        clean = simulate(figure2a_tree(), IC3, num_tasks)
+        faulted = simulate(figure2a_tree(), IC3, num_tasks, faults=faults)
+        assert faulted.last_completion_time == 10**9
+        assert faulted.crashed_node_ids == (2,)
+        assert faulted.events_processed <= 2 * clean.events_processed
 
 
 class TestMemoryShape:
