@@ -54,6 +54,7 @@ from workloads import (
     run_engine_ic_10k_telemetry,
     run_engine_ic_10k_warp,
     run_engine_non_ic,
+    run_engine_star_1024,
     run_preemption_churn,
     run_process_chain,
     run_producer_consumer,
@@ -128,6 +129,9 @@ KERNEL_WORKLOADS = [
     ("engine_ic_10k", run_engine_ic_10k, 10_000, "tasks"),
     ("engine_ic_10k_warp", run_engine_ic_10k_warp, 10_000, "tasks"),
     ("engine_ic_10k_telemetry", run_engine_ic_10k_telemetry, 10_000, "tasks"),
+    # One send decision among 1,024 children per transfer: guards the
+    # indexed bandwidth-centric choice against a return to a linear scan.
+    ("engine_star_1024", run_engine_star_1024, 20_000, "tasks"),
     # Service-mode (open-loop) runs: the diurnal day measures the exact
     # arrival/admission/sketch hot path; the periodic pair's per_sec
     # ratio is the open-loop warp speedup the CI gate checks.

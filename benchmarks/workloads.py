@@ -13,8 +13,10 @@ from dataclasses import replace
 
 from repro.sim import Environment, Interrupt, PreemptiveResource, Store
 from repro.platform.contention import LinkContention
-from repro.platform.generator import TreeGeneratorParams, generate_tree
+from repro.platform.generator import (PAPER_DEFAULTS, TreeGeneratorParams,
+                                      generate_tree)
 from repro.platform.graph import generate_platform
+from repro.platform.tree import PlatformTree
 from repro.protocols import GraphProtocolEngine, ProtocolConfig, ProtocolEngine
 from repro.protocols.topologies import topology_overlay
 from repro.telemetry import TelemetryConfig
@@ -150,6 +152,27 @@ def run_engine_ic_10k_telemetry(num_tasks: int = 10_000) -> int:
     return _engine_tasks(
         replace(ProtocolConfig.interruptible(3), telemetry=TelemetryConfig()),
         num_tasks)
+
+
+def star_tasks(fanout: int, num_tasks: int) -> int:
+    """IC/FB=3 on a seeded ``fanout``-worker fork drawn from the paper's
+    weight ranges (tasks as units)."""
+    params = PAPER_DEFAULTS
+    rng = random.Random(fanout)
+    lo_w = max(1, params.max_comp // params.comp_divisor)
+    tree = PlatformTree.fork(
+        rng.randint(lo_w, params.max_comp),
+        [(rng.randint(params.min_comm, params.max_comm),
+          rng.randint(lo_w, params.max_comp)) for _ in range(fanout)])
+    ProtocolEngine(tree, ProtocolConfig.interruptible(3), num_tasks).run()
+    return num_tasks
+
+
+def run_engine_star_1024(num_tasks: int = 20_000) -> int:
+    """IC/FB=3 on a 1,024-worker star: every send decision picks among a
+    thousand children, so the cost of one decision, not tree depth, sets
+    the throughput (tasks as units)."""
+    return star_tasks(1024, num_tasks)
 
 
 def run_engine_multiapp(num_tasks: int = 2000) -> int:

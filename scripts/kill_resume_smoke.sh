@@ -20,16 +20,29 @@ echo "== reference run (workers=1, no checkpointing)"
 python -m repro "${ARGS[@]}" --workers 1 --out "$WORKDIR/reference.txt"
 
 echo "== checkpointed run (workers=4), SIGKILL after ${KILL_AFTER}s"
-python -m repro "${ARGS[@]}" --workers 4 --checkpoint-dir "$CKPT" \
+# setsid gives the run its own process group (its id is the run's pid), so
+# one kill takes down the pool workers too instead of orphaning them.
+setsid python -m repro "${ARGS[@]}" --workers 4 --checkpoint-dir "$CKPT" \
     --out "$WORKDIR/killed.txt" >/dev/null 2>&1 &
 VICTIM=$!
 sleep "$KILL_AFTER"
-if kill -KILL "$VICTIM" 2>/dev/null; then
-    echo "   killed pid $VICTIM mid-run"
+if kill -KILL -- -"$VICTIM" 2>/dev/null; then
+    echo "   killed process group $VICTIM mid-run"
 else
     echo "   run finished before the kill landed (resume is a pure replay)"
 fi
 wait "$VICTIM" 2>/dev/null || true
+# Zombies aside, nothing of the killed run may survive.
+for _ in $(seq 50); do
+    SURVIVORS=$(ps -e -o pgid=,stat= | awk -v g="$VICTIM" \
+        '$1 == g && $2 !~ /^Z/' | wc -l)
+    [ "$SURVIVORS" -eq 0 ] && break
+    sleep 0.1
+done
+if [ "$SURVIVORS" -ne 0 ]; then
+    echo "FAIL: $SURVIVORS process(es) of the killed run survived" >&2
+    exit 1
+fi
 
 echo "== resumed run (workers=4, --resume)"
 python -m repro "${ARGS[@]}" --workers 4 --checkpoint-dir "$CKPT" \

@@ -81,6 +81,7 @@ class NodeAgent:
     __slots__ = (
         "engine", "env", "tracer", "prio_key",
         "id", "w", "c", "parent", "children", "sorted_children",
+        "bit", "req_bits",
         "is_root", "interruptible", "growth", "max_buffers", "priority_rule",
         "buffers_total", "tasks_held", "requested", "incoming",
         "child_requests", "fifo_queue", "growth_cooldown", "growth_armed",
@@ -110,6 +111,12 @@ class NodeAgent:
         self.parent: Optional[NodeAgent] = None
         self.children: List[NodeAgent] = []
         self.sorted_children: List[NodeAgent] = []
+        # Send index (see :meth:`resort_children`): ``bit`` is ``1 << rank``
+        # in the parent's ``sorted_children`` (0 while detached from it),
+        # and bit ``r`` of ``req_bits`` is set iff the child at rank ``r``
+        # has ``requested > 0``.
+        self.bit = 0
+        self.req_bits = 0
         self.is_root = is_root
 
         self.interruptible = config.variant is ProtocolVariant.INTERRUPTIBLE
@@ -189,14 +196,23 @@ class NodeAgent:
         else:
             self.prio_key = (self.c, self.id)
 
-    def _priority_key(self, child: "NodeAgent"):
-        """Priority of ``child`` in this node's schedule (kept for API
-        compatibility; hot paths read ``child.prio_key`` directly)."""
-        return child.prio_key
-
     def resort_children(self) -> None:
-        """Recompute the child priority order (start-up and after mutations)."""
-        self.sorted_children = sorted(self.children, key=_PRIO_KEY)
+        """Recompute the child priority order (start-up and after mutations)
+        and rebuild the send index over it."""
+        self.sorted_children = ordered = sorted(self.children, key=_PRIO_KEY)
+        req_bits = 0
+        for rank, child in enumerate(ordered):
+            child.bit = bit = 1 << rank
+            if child.requested > 0:
+                req_bits |= bit
+        self.req_bits = req_bits
+
+    def _add_request(self) -> None:
+        """Raise this node's outstanding requests by one and mark it in its
+        parent's send index.  Every raise goes through here, or through
+        the inlined copy in :meth:`_take_task`."""
+        self.requested += 1
+        self.parent.req_bits |= self.bit
 
     # ------------------------------------------------------- task sourcing
     def has_task(self) -> bool:
@@ -227,7 +243,8 @@ class NodeAgent:
             self.buffers_total -= 1
             self.buffers_decayed += 1
             return
-        self.requested += 1
+        self.requested += 1  # _add_request, inlined on the per-task path
+        self.parent.req_bits |= self.bit
         if self.link_down:
             # The request cannot cross a down link; it is re-announced
             # wholesale when the parent re-admits this node after repair.
@@ -254,7 +271,7 @@ class NodeAgent:
         tracer = self.tracer
         if tracer is not None:
             tracer.record(self.env.now, _trace.GROW, self.id)
-        self.requested += 1
+        self._add_request()
         if self.link_down:
             self.deferred_requests += 1
         else:
@@ -266,7 +283,7 @@ class NodeAgent:
         (empty) buffer, delivered live so the parent can react — including
         preempting a lower-priority transfer under IC."""
         for _ in range(self.buffers_total):
-            self.requested += 1
+            self._add_request()
             self.parent._on_request(self)
 
     def depart(self) -> None:
@@ -288,6 +305,7 @@ class NodeAgent:
             self.buffers_total -= self.requested
             self.requested = 0
             self.deferred_requests = 0
+            self.parent.req_bits &= ~self.bit
 
     def _decay_tick(self) -> None:
         """Account one completion/forward toward shedding surplus buffers.
@@ -318,6 +336,8 @@ class NodeAgent:
         if self.is_root:
             return
         self.requested = self.buffers_total
+        if self.requested:
+            self.parent.req_bits |= self.bit
         self.parent.child_requests += self.buffers_total
         if self.parent.fifo_queue is not None:
             self.parent.fifo_queue.extend([self] * self.buffers_total)
@@ -369,29 +389,43 @@ class NodeAgent:
 
     # -------------------------------------------------------------- sending
     def _choose_next(self) -> Optional["NodeAgent"]:
-        """Best child to serve now, or None.  Shelved resumes need no task."""
+        """Best child to serve now, or None.  Shelved resumes need no task.
+
+        The lowest set bit of ``req_bits`` not held by a suspect is the
+        best requesting child; a better-ranked non-suspect shelved child
+        (smaller ``bit``) wins over it.
+        """
         if self.fifo_queue is not None:
             if self.fifo_queue and self.has_task():
                 return self.fifo_queue[0]
             return None
-        suspect = self.suspect
+        # has_task(), inlined: most calls end at the next test.
+        task_ready = (self.undispensed if self.is_root
+                      else self.tasks_held) > 0
         shelf = self.shelf
         if shelf:
-            task_ready = self.has_task()
-            for child in self.sorted_children:
-                if child.id in suspect:
-                    continue
-                if child.id in shelf:
-                    return child
-                if task_ready and child.requested > 0:
-                    return child
+            bits = self.req_bits if task_ready else 0
+        elif not task_ready or self.child_requests == 0:
             return None
-        if not self.has_task() or self.child_requests == 0:
-            return None
-        for child in self.sorted_children:
-            if child.requested > 0 and child.id not in suspect:
-                return child
-        return None
+        else:
+            bits = self.req_bits
+        suspect = self.suspect
+        best = None
+        while bits:
+            low = bits & -bits
+            child = self.sorted_children[low.bit_length() - 1]
+            if child.id not in suspect:
+                best = child
+                break
+            bits ^= low
+        if shelf:
+            for transfer in shelf.values():
+                child = transfer.child
+                bit = child.bit
+                if (bit and (best is None or bit < best.bit)
+                        and child.id not in suspect):
+                    best = child
+        return best
 
     def try_send(self) -> None:
         """Start (or resume) the highest-priority eligible transfer."""
@@ -416,6 +450,8 @@ class NodeAgent:
                 self.fifo_queue.popleft()
             self._take_task()
             child.requested -= 1
+            if not child.requested:
+                self.req_bits ^= child.bit
             self.child_requests -= 1
             child.incoming += 1
             transfer = self._new_transfer(child)
@@ -656,6 +692,7 @@ class NodeAgent:
         if child in self.children:
             self.children.remove(child)
             self.resort_children()
+            child.bit = 0  # out of the index until readmission re-sorts
         extra = 0
         shelved = self.shelf.pop(child.id, None)
         if shelved is not None:
@@ -667,7 +704,7 @@ class NodeAgent:
                 # will never happen, so its buffer re-requests (deferred
                 # until the link heals and it is re-admitted).
                 child.incoming -= 1
-                child.requested += 1
+                child._add_request()  # detached above: bit 0, no index change
                 child.deferred_requests += 1
         self.engine._flush_pending_losses(child, extra)
         if self.current_transfer is None:

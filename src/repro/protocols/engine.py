@@ -381,7 +381,7 @@ class ProtocolEngine:
             # The child's buffer re-requests; the request stays deferred
             # until the link heals and the parent re-admits the child.
             agent.incoming -= 1
-            agent.requested += 1
+            agent._add_request()
             agent.deferred_requests += 1
             self._pending_lost[agent.id] = (
                 self._pending_lost.get(agent.id, 0) + 1)

@@ -272,7 +272,7 @@ class GraphFaultDriver:
                 pending += 1
                 lane.transfers_wasted += 1
                 child.incoming -= 1
-                child.requested += 1
+                child._add_request()
             victim.shelf.clear()
             pending += victim._crash()
             pending += lane._pending_lost.pop(victim.id, 0)
@@ -350,12 +350,12 @@ class GraphFaultDriver:
                 lane._pending_lost[sender.id] = (
                     lane._pending_lost.get(sender.id, 0) + 1)
                 child.incoming -= 1
-                child.requested += 1
+                child._add_request()
             else:
                 # Ordinary routed outage: the receiver re-requests but the
                 # request stays deferred until readmission re-counts it.
                 child.incoming -= 1
-                child.requested += 1
+                child._add_request()
                 child.deferred_requests += 1
                 lane._pending_lost[child.id] = (
                     lane._pending_lost.get(child.id, 0) + 1)

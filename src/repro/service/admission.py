@@ -22,9 +22,11 @@ States expose three methods the open-loop driver relies on:
     Translate any internal absolute timestamps forward by ``dt`` after
     a warp jump.
 
-Token-bucket arithmetic uses :class:`fractions.Fraction` so refill at
-e.g. 1/7 tokens per step is exact — float drift would eventually
-desynchronize the warp's replayed periods from an exact run.
+Token-bucket arithmetic is exact: the bucket counts ``1/q`` units of a
+token for a rate ``p/q``, so refill at e.g. 1/7 tokens per step is plain
+integer addition — float drift would eventually desynchronize the warp's
+replayed periods from an exact run.  The count reads back as the same
+:class:`fractions.Fraction` a rational bucket would hold.
 """
 
 from __future__ import annotations
@@ -129,25 +131,67 @@ class TokenBucket(AdmissionPolicy):
 
 
 class _TokenState:
-    __slots__ = ("rate", "burst", "tokens", "last")
+    """Bucket state with the token count held as an integer number of
+    ``1/q`` units, where ``rate = p/q``: refill adds ``p`` units per
+    timestep, one token is ``q`` units, and ``burst * q`` caps the count.
+
+    An integer interval keeps ``units`` an int.  A fractional interval
+    (possible after a warp ``shift`` by a fractional period) makes it an
+    exact :class:`~fractions.Fraction` of units, through the same code.
+    A float interval switches to float token arithmetic exactly as a
+    ``Fraction`` bucket would have done it, until the cap restores an
+    exact count.
+    """
+
+    __slots__ = ("rate", "burst", "per_step", "scale", "cap", "units",
+                 "float_tokens", "last")
 
     def __init__(self, rate, burst):
         self.rate = rate
         self.burst = burst
-        self.tokens = Fraction(burst)  # starts full
+        self.per_step = rate.numerator
+        self.scale = rate.denominator
+        self.cap = burst * rate.denominator
+        self.units = self.cap  # starts full
+        self.float_tokens = None
         self.last = 0
 
+    @property
+    def tokens(self):
+        """Banked tokens: an exact ``Fraction``, or a float after a float
+        interval."""
+        if self.float_tokens is not None:
+            return self.float_tokens
+        return Fraction(self.units, self.scale)
+
     def admit(self, now, count, in_system):
-        if now != self.last:
-            tokens = self.tokens + self.rate * (now - self.last)
-            burst = self.burst
-            self.tokens = Fraction(burst) if tokens > burst else tokens
+        last = self.last
+        if now != last:
             self.last = now
-        grant = int(self.tokens)
+            dt = now - last
+            if self.float_tokens is None and not isinstance(dt, float):
+                units = self.units + self.per_step * dt
+                self.units = self.cap if units > self.cap else units
+            else:
+                tokens = self.tokens + self.rate * dt
+                if tokens > self.burst:
+                    self.units = self.cap
+                    self.float_tokens = None
+                else:
+                    self.float_tokens = tokens
+        if self.float_tokens is not None:
+            grant = int(self.float_tokens)
+            if grant > count:
+                grant = count
+            if grant:
+                self.float_tokens -= grant
+            return grant
+        scale = self.scale
+        grant = self.units // scale
         if grant > count:
             grant = count
         if grant:
-            self.tokens -= grant
+            self.units -= grant * scale
         return grant
 
     def fingerprint_state(self, now):

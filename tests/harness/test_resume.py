@@ -18,6 +18,27 @@ from repro.harness.runner import SeedSweepOutcome
 SRC = str(Path(__file__).resolve().parent.parent.parent / "src")
 
 
+def _live_group_members(pgid):
+    """Pids of the not-yet-dead (non-zombie) processes in process group
+    ``pgid``, read from ``/proc``; ``None`` where there is no ``/proc``."""
+    proc = Path("/proc")
+    if not proc.is_dir():
+        return None
+    live = []
+    for entry in proc.iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _ppid, group = stat.rpartition(")")[2].split()[:3]
+        if int(group) == pgid and state != "Z":
+            live.append(int(entry.name))
+    return live
+
+
 def _cube(seed):
     return seed ** 3
 
@@ -180,13 +201,23 @@ class TestKillAndResume:
         victim = subprocess.Popen(
             [sys.executable, "-m", "repro", *self.CLI,
              "--workers", "4", "--checkpoint-dir", ckpt],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True)
         # Let it journal a few seeds, then kill it ungracefully.  If the
         # run happens to finish first the resume below is a pure replay —
         # the equality assertion holds either way, so no flaky timing.
         time.sleep(2.0)
-        victim.send_signal(signal.SIGKILL)
+        # Kill the whole process group: the sweep's pool workers would
+        # otherwise outlive their SIGKILLed parent as orphans.
+        try:
+            os.killpg(victim.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the run finished and its group is already gone
         victim.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while _live_group_members(victim.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _live_group_members(victim.pid), "orphaned sweep workers"
 
         resumed = _run_cli(self.CLI + [
             "--workers", "4", "--checkpoint-dir", ckpt, "--resume"])

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.service import (AlwaysAdmit, QueueDepthBound, TokenBucket,
                            parse_admission)
@@ -66,6 +68,91 @@ class TestTokenBucket:
             TokenBucket(rate=0, burst=1)
         with pytest.raises(ValueError):
             TokenBucket(rate=1, burst=0)
+
+
+class _RationalBucket:
+    """Reference token bucket: the token count as a plain ``Fraction``
+    (a float once a float interval mixes in), refilled by rate × elapsed."""
+
+    def __init__(self, rate, burst):
+        self.rate = rate
+        self.burst = burst
+        self.tokens = Fraction(burst)
+        self.last = 0
+
+    def admit(self, now, count, in_system):
+        if now != self.last:
+            tokens = self.tokens + self.rate * (now - self.last)
+            self.tokens = Fraction(self.burst) if tokens > self.burst \
+                else tokens
+            self.last = now
+        grant = min(int(self.tokens), count)
+        self.tokens -= grant
+        return grant
+
+    def fingerprint_state(self, now):
+        tokens = self.tokens
+        return (tokens.numerator, tokens.denominator, now - self.last)
+
+    def shift(self, dt):
+        self.last += dt
+
+
+def _fingerprint(state, now):
+    """``fingerprint_state(now)``, or the error it raises (a float token
+    count has no numerator, in either bucket)."""
+    try:
+        return state.fingerprint_state(now)
+    except AttributeError as error:
+        return type(error)
+
+
+def _interval(kind, value):
+    if kind == "int":
+        return value % 40
+    if kind == "same":
+        return 0
+    if kind == "fraction":
+        return Fraction(value % 97, 1 + value % 11)
+    return (value % 1000) / 37.0  # float
+
+
+STEPS = st.lists(
+    st.tuples(st.sampled_from(["admit", "admit", "admit", "shift"]),
+              st.sampled_from(["int", "int", "same", "fraction", "float"]),
+              st.integers(0, 10**6), st.integers(1, 80)),
+    max_size=80)
+
+
+class TestIntegerBucketMatchesRational:
+    """The integer-unit bucket grants, reads and fingerprints exactly as
+    a ``Fraction`` bucket, for int, ``Fraction`` and float times."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rate=st.floats(0.001, 40.0).map(
+               lambda r: Fraction(r).limit_denominator(1000)),
+           burst=st.integers(1, 64), steps=STEPS)
+    @example(rate=Fraction(1, 7), burst=3,
+             steps=[("admit", "same", 0, 5), ("admit", "float", 100, 1),
+                    ("admit", "int", 7, 2), ("shift", "fraction", 13, 1),
+                    ("admit", "fraction", 30, 80), ("admit", "same", 0, 1)])
+    def test_matches_rational_reference(self, rate, burst, steps):
+        state = TokenBucket(rate=rate, burst=burst).state()
+        reference = _RationalBucket(rate, burst)
+        now = 0
+        for action, kind, value, count in steps:
+            dt = _interval(kind, value)
+            now = now + dt
+            if action == "shift":
+                # A warp jump moves the calendar and the bucket together.
+                state.shift(dt)
+                reference.shift(dt)
+            else:
+                assert (state.admit(now, count, 0)
+                        == reference.admit(now, count, 0))
+            assert state.tokens == reference.tokens
+            assert type(state.tokens) is type(reference.tokens)
+            assert _fingerprint(state, now) == _fingerprint(reference, now)
 
 
 class TestParse:
