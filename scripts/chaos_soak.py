@@ -10,7 +10,11 @@ demands that
 * the run terminates (a hung recovery would trip the per-cell watchdog),
 * every application completes its full bag,
 * no pending losses are left pooled (every destroyed task instance was
-  reclaimed into the repository and re-executed).
+  reclaimed into the repository and re-executed),
+* after every route refresh and at the end of the run, every alive
+  agent's overlay route (or its parked state) equals what a copy of the
+  mutated graph computes with an empty route cache, so the incremental
+  route cache stayed exact through the cell's faults.
 
 Exit status 0 iff every cell passes.  Usage::
 
@@ -58,8 +62,17 @@ def soak_cell(topology: str, seed: int, apps: int, tasks: int) -> str:
                     for i in range(apps)]
     engine = MultiAppEngine(platform, workload, CONFIG,
                             faults=schedule, check_invariants=True)
-    result = engine.run()
     problems = []
+    driver = engine.fault_driver
+    refresh = driver._refresh_routes
+
+    def checked_refresh(*args, **kwargs):
+        refresh(*args, **kwargs)
+        problems.extend(f"t={engine.env.now}: {problem}"
+                        for problem in stale_routes(engine))
+
+    driver._refresh_routes = checked_refresh
+    result = engine.run()
     for lane in engine.lanes:
         if lane.completed != lane.num_tasks:
             problems.append(
@@ -72,7 +85,33 @@ def soak_cell(topology: str, seed: int, apps: int, tasks: int) -> str:
     total = sum(len(a.completion_times) for a in result.apps)
     if total != result.num_tasks:
         problems.append(f"merged completions {total}/{result.num_tasks}")
+    problems.extend(stale_routes(engine))
     return "; ".join(problems)
+
+
+def stale_routes(engine) -> list:
+    """Agents whose route differs from a cache-free recomputation on the
+    engine's private (fault-mutated) graph."""
+    fresh = engine.graph.copy()  # route cache not shared: from scratch
+    hosts = engine.overlay.hosts
+    problems = []
+    for lane in engine.lanes:
+        for agent in lane.nodes:
+            parent = agent.parent
+            if (agent.is_root or not agent.alive or parent is None
+                    or not parent.alive):
+                continue
+            route = fresh.route_or_none(hosts[parent.id], hosts[agent.id])
+            if route is None:
+                exact = agent.link_down
+            else:
+                exact = not agent.link_down and agent.route == route
+            if not exact:
+                problems.append(
+                    f"app{lane.app_index} node {agent.id} route "
+                    f"{agent.route} (parked={agent.link_down}) != "
+                    f"fresh {route}")
+    return problems
 
 
 def main() -> int:

@@ -84,12 +84,17 @@ class ExperimentSpec:
     data: a runner, a formatter, and (optionally) the name of a
     ``repro.viz`` renderer.  Calling a spec returns ``(report text, svg
     text or None)``; the viz module is only imported when ``svg=True``.
+    ``topology`` marks the experiments whose sweeps honour
+    ``--topology`` (they build each seed's platform through
+    :func:`~repro.experiments.common.run_case`); the others draw paper
+    trees or fixed examples whatever the flag says.
     """
 
     name: str
     run: Callable
     format: Callable[[object], str]
     svg_renderer: Optional[str] = None
+    topology: bool = False
 
     def __call__(self, scale: ExperimentScale, workers: int = 1,
                  svg: bool = False,
@@ -129,12 +134,17 @@ class ExperimentSpec:
 #: workers=..., svg=...)`` → ``(report text, svg text or None)``.
 EXPERIMENTS: Dict[str, ExperimentSpec] = {spec.name: spec for spec in (
     ExperimentSpec("fig3", fig3.run, fig3.format_result, "fig3_svg"),
-    ExperimentSpec("fig4", fig4.run, fig4.format_result, "fig4_svg"),
-    ExperimentSpec("fig5", fig5.run, fig5.format_result, "fig5_svg"),
-    ExperimentSpec("fig6", fig6.run, fig6.format_result, "fig6_svg"),
+    ExperimentSpec("fig4", fig4.run, fig4.format_result, "fig4_svg",
+                   topology=True),
+    ExperimentSpec("fig5", fig5.run, fig5.format_result, "fig5_svg",
+                   topology=True),
+    ExperimentSpec("fig6", fig6.run, fig6.format_result, "fig6_svg",
+                   topology=True),
     ExperimentSpec("fig7", fig7.run, fig7.format_result, "fig7_svg"),
-    ExperimentSpec("table1", table1.run, table1.format_result),
-    ExperimentSpec("table2", table2.run, table2.format_result),
+    ExperimentSpec("table1", table1.run, table1.format_result,
+                   topology=True),
+    ExperimentSpec("table2", table2.run, table2.format_result,
+                   topology=True),
     ExperimentSpec("priorities", ablation.priority_rules,
                    ablation.format_priority_result),
     ExperimentSpec("overlays", ablation.overlay_strategies,
@@ -148,6 +158,33 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {spec.name: spec for spec in (
     ExperimentSpec("apps", ablation.multi_app,
                    ablation.format_multi_app_result),
 )}
+
+
+#: Ensemble experiments that honour ``--topology``.
+TOPOLOGY_EXPERIMENTS = tuple(sorted(
+    name for name, spec in EXPERIMENTS.items() if spec.topology))
+
+
+def _topology_names(args: argparse.Namespace) -> list:
+    """The experiments to run under a non-tree ``--topology``.
+
+    ``all`` keeps only the experiments that honour the flag and says on
+    stderr which it skips; a single experiment that would ignore it is an
+    error naming the ones that do.
+    """
+    if args.experiment == "all":
+        skipped = sorted(set(EXPERIMENTS) - set(TOPOLOGY_EXPERIMENTS))
+        sys.stderr.write(
+            f"all --topology {args.topology}: skipping "
+            f"{', '.join(skipped)} (they do not honour --topology)\n")
+        return list(TOPOLOGY_EXPERIMENTS)
+    if not EXPERIMENTS[args.experiment].topology:
+        raise SystemExit(
+            f"'{args.experiment}' does not honour --topology "
+            f"{args.topology}: it runs the paper's trees or fixed examples. "
+            f"--topology is honoured by {', '.join(TOPOLOGY_EXPERIMENTS)} "
+            f"and analyze/simulate")
+    return [args.experiment]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "trees (default) or star / chain / leaf-spine "
                              "graph platforms run through the contention-"
                              "aware graph engine with the shape's protocol "
-                             "adaptation")
+                             "adaptation; honoured by "
+                             + ", ".join(TOPOLOGY_EXPERIMENTS)
+                             + " and analyze/simulate, rejected by the "
+                               "other experiments")
     parser.add_argument("--apps", type=int, default=None, metavar="N",
                         help="concurrent applications sharing each "
                              "platform, for the 'apps' ablation (default "
@@ -384,7 +424,12 @@ def main(argv: Optional[list] = None) -> int:
         # the very frames being profiled.
         sys.stderr.write("--profile forces --workers 1\n")
         workers = 1
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    if scale.topology != "tree":
+        names = _topology_names(args)
+    elif args.experiment == "all":
+        names = sorted(EXPERIMENTS)
+    else:
+        names = [args.experiment]
     experiments = dict(EXPERIMENTS)
     if args.apps is not None or args.allocator:
         # --apps / --allocator parameterize the multi-app ablation; every

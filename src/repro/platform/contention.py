@@ -89,9 +89,63 @@ def _exact(value) -> object:
     Tree-degenerate runs must stay all-integer so their arithmetic — and
     therefore their fingerprints — matches the tree engine exactly.
     """
-    if isinstance(value, Fraction) and value.denominator == 1:
+    if value.__class__ is Fraction and value.denominator == 1:
         return value.numerator
     return value
+
+
+#: Classes the integer-ratio helpers below take apart exactly.
+_RATIONAL = (int, Fraction)
+
+
+def _ratio(num: int, den: int) -> object:
+    """``num / den`` (``den != 0``) as one normalized value: an int when
+    integral, else a Fraction — the type :func:`_exact` would give."""
+    if num % den:
+        return Fraction(num, den)
+    return num // den
+
+
+def _drain(volume, rate, now, since) -> object:
+    """Exactly ``volume - rate * (now - since)``, :func:`_exact`-normalized.
+
+    The flow settlement on every rate change and every preemption test.
+    With int and Fraction operands it works on numerators and
+    denominators and builds at most one Fraction, instead of one per
+    operator; any other operand (float sim time) takes the operator path
+    with its usual float semantics.
+    """
+    if (volume.__class__ in _RATIONAL and rate.__class__ in _RATIONAL
+            and now.__class__ in _RATIONAL and since.__class__ in _RATIONAL):
+        vn, vd = volume.as_integer_ratio()
+        rn, rd = rate.as_integer_ratio()
+        nn, nd = now.as_integer_ratio()
+        sn, sd = since.as_integer_ratio()
+        if nd == sd:  # both instants on one grid (always, on int time)
+            elapsed = nn - sn
+            den = rd * nd
+        else:
+            elapsed = nn * sd - sn * nd
+            den = rd * nd * sd
+        # volume - rate * elapsed == (vn*den - vd*rn*elapsed) / (vd*den)
+        return _ratio(vn * den - vd * rn * elapsed, vd * den)
+    return _exact(volume - rate * (now - since))
+
+
+def _leg_duration(volume, rate) -> object:
+    """Time to drain ``volume`` at ``rate``, :func:`_exact`-normalized.
+
+    Exact for an int or Fraction rate, whatever the volume (a float
+    volume converts exactly, as ``Fraction(volume)`` would); a float rate
+    keeps plain float division.
+    """
+    if rate.__class__ in _RATIONAL:
+        rn, rd = rate.as_integer_ratio()
+        if not rn:
+            raise ZeroDivisionError(f"draining {volume!r} at rate 0")
+        vn, vd = volume.as_integer_ratio()
+        return _ratio(vn * rd, vd * rn)
+    return volume / rate
 
 
 def max_min_rates(flows: Mapping[FlowId, Sequence[int]],
@@ -328,7 +382,7 @@ class LinkContention:
 
     __slots__ = ("capacities", "mode", "incremental", "_selfish", "_flows",
                  "_priorities", "_link_flows", "_memo", "_scales",
-                 "_flow_seq", "reallocations",
+                 "_routes", "_flow_seq", "reallocations",
                  "rate_changes", "settles_full", "settles_incremental",
                  "solves_trivial", "solves_int", "solves_fraction",
                  "memo_hits", "memo_evictions", "dirty_flows",
@@ -353,6 +407,8 @@ class LinkContention:
         self._memo: Dict[tuple, Dict[object, Fraction]] = {}
         #: region links tuple → (scale, int caps), cached per epoch.
         self._scales: Dict[tuple, tuple] = {}
+        #: route → (deduped sorted links, min capacity), cached per epoch.
+        self._routes: Dict[tuple, tuple] = {}
         self._flow_seq = 0
         self.reallocations = 0      # settle events (telemetry)
         self.rate_changes = 0       # flows whose rate changed mid-flight
@@ -397,7 +453,7 @@ class LinkContention:
         flow = self._flows[fid]
         if not flow.rate:  # starved/new flow: no progress to subtract
             return _exact(flow.volume)
-        return _exact(flow.volume - flow.rate * (now - flow.since))
+        return _drain(flow.volume, flow.rate, now, flow.since)
 
     def start(self, fid: FlowId, route: Sequence[int], volume,
               now, priority=None) -> List[Tuple[FlowId, object, object]]:
@@ -412,10 +468,7 @@ class LinkContention:
         if not route:
             raise PlatformError(f"flow {fid!r} has an empty route")
         route = tuple(route)
-        links = route if len(route) == 1 else tuple(sorted(set(route)))
-        for link in links:
-            if link not in self.capacities:
-                raise PlatformError(f"flow crosses unknown link {link}")
+        links, floor = self._route_entry(route)
         seq = self._flow_seq + 1
         self._flow_seq = seq
         flow = _Flow(route, links, volume, _ZERO, now, seq)
@@ -440,14 +493,8 @@ class LinkContention:
             self.solves_trivial += 1
             self.dirty_flows += 1
             self.dirty_links += len(links)
-            capacities = self.capacities
-            if len(links) == 1:
-                rate = _exact(capacities[links[0]])
-            else:
-                rate = _exact(min(capacities[link] for link in links))
-            if rate != flow.rate:
-                flow.rate = rate
-            return [(fid, flow.rate, _exact(flow.volume))]
+            flow.rate = floor
+            return [(fid, floor, _exact(flow.volume))]
         updates = self._settle(links, now)
         if all(u[0] != fid for u in updates):
             updates.append((fid, flow.rate, _exact(flow.volume)))
@@ -520,9 +567,26 @@ class LinkContention:
         # dropped wholesale and rebuilt lazily by the next solves.
         self._memo.clear()
         self._scales.clear()
+        self._routes.clear()
         return self._settle((link,), now)
 
     # ----------------------------------------------------------- internals
+    def _route_entry(self, route: Tuple[int, ...]) -> tuple:
+        """``(deduped sorted links, min capacity)`` of a route: validated
+        and computed once per capacity epoch, then a dict lookup."""
+        entry = self._routes.get(route)
+        if entry is None:
+            links = route if len(route) == 1 else tuple(sorted(set(route)))
+            capacities = self.capacities
+            for link in links:
+                if link not in capacities:
+                    raise PlatformError(f"flow crosses unknown link {link}")
+            entry = (links, _exact(min(capacities[link] for link in links)))
+            if len(self._routes) >= _MEMO_LIMIT:
+                self._routes.clear()
+            self._routes[route] = entry
+        return entry
+
     def _unlink(self, fid: FlowId, flow: _Flow) -> None:
         link_flows = self._link_flows
         for link in flow.links:
@@ -613,8 +677,7 @@ class LinkContention:
             if new_rate is flow.rate or new_rate == flow.rate:
                 continue
             if flow.rate:  # settle progress made at the old rate
-                flow.volume = _exact(flow.volume
-                                     - flow.rate * (now - flow.since))
+                flow.volume = _drain(flow.volume, flow.rate, now, flow.since)
                 self.rate_changes += 1
             flow.rate = new_rate
             flow.since = now
@@ -629,15 +692,13 @@ class LinkContention:
         identity check short-circuits unchanged flows.
         """
         flows = self._flows
-        capacities = self.capacities
         if len(ordered) == 1:
             # A lone flow owns every link it crosses (anything sharing
             # one would be in its component): rate = min capacity under
             # every allocator.
             self.solves_trivial += 1
             fid = ordered[0]
-            return {fid: _exact(min(capacities[link]
-                                    for link in flows[fid].links))}
+            return {fid: self._route_entry(flows[fid].route)[1]}
 
         selfish = self._selfish
         # Frozen flow-set signature: flows are interchangeable within a

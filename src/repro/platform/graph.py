@@ -158,6 +158,9 @@ class PlatformGraph:
             self.link_c.append(cost)
             self.adj[u][v] = link_id
             self.adj[v][u] = link_id
+        # Ascending-neighbour order: Dijkstra relaxes neighbours in id
+        # order, and sorting once here spares a sort on every pop.
+        self.adj = [dict(sorted(a.items())) for a in self.adj]
         self.link_up: List[bool] = [True] * len(self.link_c)
 
         unreachable = self._unreachable_from(root)
@@ -218,11 +221,17 @@ class PlatformGraph:
         Paths minimise summed link cost, then hop count; remaining ties
         resolve toward lower node ids (the lowest-id frontier node relaxes
         its neighbours first and later equal-cost paths never overwrite).
+        Nodes are popped in ascending ``(cost, hops, id)`` order, so a
+        node's ``prev`` is the first-popped neighbour that attains its
+        final key — the fact the fault methods' cache rules rest on.
         """
         cached = self._route_cache.get(src)
         if cached is not None:
             return cached
         n = self.num_nodes
+        adj = self.adj
+        link_up = self.link_up
+        link_c = self.link_c
         dist: List[Optional[Tuple[Weight, int]]] = [None] * n
         prev_node: List[Optional[int]] = [None] * n
         prev_link: List[Optional[int]] = [None] * n
@@ -234,13 +243,10 @@ class PlatformGraph:
             if done[u]:
                 continue
             done[u] = True
-            for v in sorted(self.adj[u]):
-                if done[v]:
+            for v, link in adj[u].items():  # ascending neighbour ids
+                if done[v] or not link_up[link]:
                     continue
-                link = self.adj[u][v]
-                if not self.link_up[link]:
-                    continue
-                key = (d + self.link_c[link], hops + 1)
+                key = (d + link_c[link], hops + 1)
                 if dist[v] is None or key < dist[v]:
                     dist[v] = key
                     prev_node[v] = u
@@ -249,19 +255,31 @@ class PlatformGraph:
         self._route_cache[src] = (prev_node, prev_link)
         return prev_node, prev_link
 
-    def route(self, src: int, dst: int) -> Tuple[int, ...]:
-        """Static route between two nodes as a tuple of link ids."""
-        if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
-            raise PlatformError(f"route endpoints ({src}, {dst}) out of range")
-        prev_node, prev_link = self._shortest_from(src)
-        if dst != src and prev_node[dst] is None:
-            raise PlatformError(f"no route from {src} to {dst}")
+    def _path_key(self, src: int, tree: Tuple[list, list],
+                  node: int) -> Optional[Tuple[Weight, int]]:
+        """``(cost, hops)`` of ``node`` in ``src``'s cached shortest-path
+        tree (``None`` when unreachable), summed in the search's order."""
+        prev_node, prev_link = tree
+        if node == src:
+            return (0, 0)
+        if prev_node[node] is None:
+            return None
         links: List[int] = []
-        node = dst
         while node != src:
             links.append(prev_link[node])
             node = prev_node[node]
-        return tuple(reversed(links))
+        link_c = self.link_c
+        cost = 0
+        for link in reversed(links):
+            cost = cost + link_c[link]
+        return (cost, len(links))
+
+    def route(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Static route between two nodes as a tuple of link ids."""
+        links = self.route_or_none(src, dst)
+        if links is None:
+            raise PlatformError(f"no route from {src} to {dst}")
+        return links
 
     def route_or_none(self, src: int, dst: int) -> Optional[Tuple[int, ...]]:
         """Like :meth:`route`, but ``None`` when ``dst`` is unreachable
@@ -421,26 +439,57 @@ class PlatformGraph:
 
     # --------------------------------------------------------------- faults
     def fail_link(self, link_id: int) -> None:
-        """Take link ``link_id`` down; routes recompute on next lookup."""
+        """Take link ``link_id`` down.
+
+        Only the cached shortest-path trees that route over the link are
+        dropped (they recompute on next lookup).  Every other tree stays
+        exact: removing a link outside a tree changes no node's ``(cost,
+        hops)`` key and no pop order, so every ``prev`` is unchanged.
+        """
         if not 0 <= link_id < self.num_links:
             raise PlatformError(f"no link {link_id}")
         if not self.link_up[link_id]:
             raise PlatformError(f"link {link_id} is already down")
         self.link_up[link_id] = False
-        self._route_cache.clear()
+        self._drop_trees_using({link_id})
 
     def repair_link(self, link_id: int) -> None:
-        """Bring link ``link_id`` back up; routes recompute on next lookup."""
+        """Bring link ``link_id`` back up.
+
+        A source's cached tree is dropped only if the link ties or
+        improves either endpoint's ``(cost, hops)`` key, or joins a
+        reachable endpoint to an unreachable one.  A link strictly worse
+        for both endpoints (or between two unreachable ones) attains no
+        node's key, so that tree survives unchanged.
+        """
         if not 0 <= link_id < self.num_links:
             raise PlatformError(f"no link {link_id}")
         if self.link_up[link_id]:
             raise PlatformError(f"link {link_id} is already up")
         self.link_up[link_id] = True
-        self._route_cache.clear()
+        u, v = self.link_u[link_id], self.link_v[link_id]
+        cost = self.link_c[link_id]
+        cache = self._route_cache
+        stale = []
+        for src, tree in cache.items():
+            key_u = self._path_key(src, tree, u)
+            key_v = self._path_key(src, tree, v)
+            if key_u is None and key_v is None:
+                continue
+            if (key_u is None or key_v is None
+                    or (key_u[0] + cost, key_u[1] + 1) <= key_v
+                    or (key_v[0] + cost, key_v[1] + 1) <= key_u):
+                stale.append(src)
+        for src in stale:
+            del cache[src]
 
     def crash_node(self, node: int) -> List[int]:
         """Permanently down every link incident to ``node`` (a crashed
-        host or switch).  Returns the newly-downed link ids, ascending."""
+        host or switch).  Returns the newly-downed link ids, ascending.
+
+        As for :meth:`fail_link`, only cached trees routing over a downed
+        link are dropped.
+        """
         if not 0 <= node < self.num_nodes:
             raise PlatformError(f"no node {node}")
         downed: List[int] = []
@@ -449,8 +498,17 @@ class PlatformGraph:
                 self.link_up[link_id] = False
                 downed.append(link_id)
         if downed:
-            self._route_cache.clear()
+            self._drop_trees_using(set(downed))
         return downed
+
+    def _drop_trees_using(self, links: set) -> None:
+        """Forget the cached shortest-path trees whose ``prev_link``
+        crosses any of ``links``."""
+        cache = self._route_cache
+        stale = [src for src, (_prev, prev_link) in cache.items()
+                 if not links.isdisjoint(prev_link)]
+        for src in stale:
+            del cache[src]
 
     def set_degrade(self, link_id: int, factor: Optional[Fraction]) -> None:
         """Apply (or with ``None`` clear) a bandwidth-degrade factor on

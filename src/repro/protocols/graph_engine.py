@@ -32,11 +32,10 @@ former and stands the warp down.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Set, Union
 
 from ..errors import ProtocolError
-from ..platform.contention import LinkContention, _exact
+from ..platform.contention import LinkContention, _leg_duration
 from ..platform.faults import (CrashEvent, DegradeEvent, EdgeFailureEvent,
                                EdgeRepairEvent, FaultSchedule,
                                LinkFailureEvent, SwitchCrashEvent)
@@ -52,13 +51,6 @@ from .topologies import reassign_orphans
 
 __all__ = ["GraphNodeAgent", "GraphProtocolEngine", "GraphFaultDriver",
            "simulate_graph"]
-
-
-def _leg_duration(volume, rate):
-    """Time to drain ``volume`` at ``rate``, exactly (never float)."""
-    if not isinstance(volume, Fraction):
-        volume = Fraction(volume)
-    return _exact(volume / rate)
 
 
 class GraphNodeAgent(NodeAgent):
@@ -560,21 +552,26 @@ class GraphProtocolEngine(ProtocolEngine):
         overlay parent of its destination, which owns the timer.
         """
         env = self.env
+        now = env.now
         for transfer, rate, volume in updates:
-            if transfer.timer is not None:
-                transfer.timer.cancel()
+            timer = transfer.timer
+            if timer is not None:
+                timer.cancel()
             transfer.remaining = volume
-            transfer.started_at = env.now
-            if volume > 0 and rate == 0:
-                # Starved outright (the selfish allocator gives strictly
-                # higher-priority classes everything): the flow stalls
-                # with no timer; the reallocation that frees capacity
-                # reports it again and reschedules it here.
-                transfer.timer = None
-                continue
-            sender = transfer.child.parent
-            duration = _leg_duration(volume, rate) if volume > 0 else 0
-            transfer.timer = env.call_in(duration, sender._send_done, transfer)
+            transfer.started_at = now
+            if volume > 0:
+                if not rate:
+                    # Starved outright (the selfish allocator gives
+                    # strictly higher-priority classes everything): the
+                    # flow stalls with no timer; the reallocation that
+                    # frees capacity reports it again and reschedules it.
+                    transfer.timer = None
+                    continue
+                duration = _leg_duration(volume, rate)
+            else:
+                duration = 0
+            transfer.timer = env.call_in(
+                duration, transfer.child.parent._send_done, transfer)
 
 
 def simulate_graph(platform: Union[PlatformGraph, PlatformTree],

@@ -167,6 +167,40 @@ class TestMain:
         assert strip(captured.out) == strip(first)
 
 
+class TestTopologyFlag:
+    HONOURED = ("fig4", "fig5", "fig6", "table1", "table2")
+
+    def test_honouring_experiments(self):
+        from repro.experiments.cli import TOPOLOGY_EXPERIMENTS
+
+        assert TOPOLOGY_EXPERIMENTS == self.HONOURED
+
+    @pytest.mark.parametrize("name", ["faults", "priorities", "decay",
+                                      "churn", "apps", "fig3", "fig7",
+                                      "overlays"])
+    def test_ignoring_experiment_rejects_topology(self, name):
+        with pytest.raises(SystemExit) as info:
+            main([name, "--topology", "leafspine", "--trees", "1"])
+        message = str(info.value)
+        assert f"'{name}' does not honour --topology leafspine" in message
+        for honoured in self.HONOURED:
+            assert honoured in message
+
+    def test_tree_topology_is_the_default_everywhere(self, capsys):
+        assert main(["fig7", "--topology", "tree"]) == 0
+        assert "Figure 7" in capsys.readouterr().out
+
+    def test_all_skips_ignoring_experiments(self, capsys):
+        assert main(["all", "--topology", "star", "--trees", "1",
+                     "--tasks", "60"]) == 0
+        captured = capsys.readouterr()
+        assert ("all --topology star: skipping apps, churn, decay, faults, "
+                "fig3, fig7, overlays, priorities" in captured.err)
+        ran = [line.split()[0].lstrip("[") for line in
+               captured.out.splitlines() if "completed in" in line]
+        assert tuple(ran) == self.HONOURED
+
+
 class TestPriorityAblation:
     def test_bandwidth_centric_at_least_as_good(self):
         from repro.platform.generator import TreeGeneratorParams

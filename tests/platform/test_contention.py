@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PlatformError
 from repro.platform import LinkContention, fair_share_rates, max_min_rates
@@ -172,3 +174,76 @@ class TestLinkContention:
                        for fid, rate, _ in mgr.start("b", (0, 1), 1, 0))
         assert updates["a"] == F(1, 2)
         assert updates["b"] == F(1, 4)
+
+
+class TestIntegerRatioHelpers:
+    """The settlement and leg-duration helpers equal the Fraction
+    reference in value *and* type: an int exactly when integral."""
+
+    @staticmethod
+    def _normalized(value: Fraction):
+        return value.numerator if value.denominator == 1 else value
+
+    @staticmethod
+    def _number(data, label):
+        """An int, a Fraction, or an integral Fraction (mixed inputs)."""
+        kind = data.draw(st.sampled_from(["int", "fraction", "integral"]),
+                         label=f"{label} kind")
+        num = data.draw(st.integers(-10**6, 10**6), label=f"{label} num")
+        if kind == "int":
+            return num
+        if kind == "integral":
+            return F(num)  # unnormalized: a Fraction with denominator 1
+        return F(num, data.draw(st.integers(1, 10**4), label=f"{label} den"))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_drain_matches_fraction_reference(self, data):
+        from repro.platform.contention import _drain
+
+        volume, rate, now, since = (self._number(data, label) for label in
+                                    ("volume", "rate", "now", "since"))
+        expected = self._normalized(
+            F(volume) - F(rate) * (F(now) - F(since)))
+        got = _drain(volume, rate, now, since)
+        assert got == expected
+        assert type(got) is type(expected)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_leg_duration_matches_fraction_reference(self, data):
+        from repro.platform.contention import _leg_duration
+
+        volume = self._number(data, "volume")
+        rate = self._number(data, "rate")
+        if rate == 0:
+            with pytest.raises(ZeroDivisionError):
+                _leg_duration(volume, rate)
+            return
+        expected = self._normalized(F(volume) / F(rate))
+        got = _leg_duration(volume, rate)
+        assert got == expected
+        assert type(got) is type(expected)
+
+    @given(st.floats(1e-6, 1e6), st.integers(1, 10**4), st.integers(1, 10**4))
+    @settings(max_examples=100, deadline=None)
+    def test_float_volume_converts_exactly(self, volume, num, den):
+        from repro.platform.contention import _leg_duration
+
+        expected = self._normalized(F(volume) / F(num, den))
+        got = _leg_duration(volume, F(num, den))
+        assert got == expected
+        assert type(got) is type(expected)
+
+    @given(st.floats(0, 1e6), st.integers(1, 10**4), st.floats(0, 1e6),
+           st.floats(0, 1e6))
+    @settings(max_examples=100, deadline=None)
+    def test_float_time_keeps_operator_semantics(self, volume, rate_den,
+                                                 now, since):
+        from repro.platform.contention import _drain, _leg_duration
+
+        rate = F(1, rate_den)
+        got = _drain(volume, rate, now, since)
+        want = volume - rate * (now - since)
+        assert type(got) is float and got == want
+        assert _leg_duration(F(3, 7), 0.5) == F(3, 7) / 0.5

@@ -7,7 +7,7 @@ silently blow up ensemble experiments if a change made them quadratic.
 
 import pytest
 
-from repro.platform import PlatformTree, generate_tree
+from repro.platform import PlatformGraph, PlatformTree, generate_tree
 from repro.platform.examples import figure2a_tree
 from repro.platform.faults import CrashEvent, FaultSchedule
 from repro.protocols import ProtocolConfig, simulate
@@ -56,6 +56,76 @@ class TestEventComplexity:
         assert faulted.last_completion_time == 10**9
         assert faulted.crashed_node_ids == (2,)
         assert faulted.events_processed <= 2 * clean.events_processed
+
+
+class TestRouteRefreshCost:
+    """A fault costs shortest-path searches only for the cached trees it
+    touches, not one per cached source."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Count ``_shortest_from`` calls that miss the route cache."""
+        count = [0]
+        search = PlatformGraph._shortest_from
+
+        def counted(graph, src):
+            if src not in graph._route_cache:
+                count[0] += 1
+            return search(graph, src)
+
+        monkeypatch.setattr(PlatformGraph, "_shortest_from", counted)
+        return count
+
+    @staticmethod
+    def _fabric():
+        # Three leaves of two hosts, two equal-cost spines: hosts 0-5,
+        # leaves 6-8, spines 9-10.
+        return PlatformGraph.leaf_spine([1] * 6, hosts_per_leaf=2,
+                                        num_spines=2)
+
+    @staticmethod
+    def _route_all(graph, sources):
+        return {(s, d): graph.route_or_none(s, d)
+                for s in sources for d in graph.hosts}
+
+    @staticmethod
+    def _crossing(graph, sources, link):
+        """Sources whose shortest-path tree uses ``link``."""
+        return {s for s in sources
+                if any(link in (graph.route_or_none(s, d) or ())
+                       for d in range(graph.num_nodes))}
+
+    def test_unused_link_failure_runs_no_search(self, searches):
+        # Like the fault driver, route only from overlay parents: the
+        # repository (host 0) and a rack head (host 2).
+        graph = self._fabric()
+        sources = (0, 2)
+        before = self._route_all(graph, sources)
+        assert searches[0] == len(sources)
+        link = graph.adj[8][10]  # leaf 2 - spine 1
+        assert not self._crossing(graph, sources, link)
+        searches[0] = 0
+        graph.fail_link(link)
+        assert self._route_all(graph, sources) == before
+        assert searches[0] == 0
+
+    def test_spine_link_failure_searches_only_crossing_sources(self,
+                                                               searches):
+        graph = self._fabric()
+        hosts = graph.hosts
+        graph.fail_link(graph.adj[7][9])  # leaf 1 now reaches spine 1 only
+        self._route_all(graph, hosts)
+        link = graph.adj[8][9]  # leaf 2 - spine 0
+        crossing = self._crossing(graph, hosts, link)
+        # Leaf 1's hosts reach spine 0 through leaf 0; the others cross.
+        assert crossing == {0, 1, 4, 5}
+        searches[0] = 0
+        graph.fail_link(link)
+        routes = self._route_all(graph, hosts)
+        assert searches[0] == len(crossing)
+        fresh = graph.copy()
+        assert routes == {(s, d): fresh.route_or_none(s, d)
+                          for s, d in routes}
 
 
 class TestMemoryShape:
