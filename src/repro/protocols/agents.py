@@ -356,15 +356,20 @@ class NodeAgent:
         self.child_requests += 1
         if self.fifo_queue is not None:
             self.fifo_queue.append(child)
-        if self.current_transfer is None:
-            self.try_send()
-        elif self.interruptible:
-            self._maybe_preempt()
+        # The send-attempt test of :meth:`try_send`, inlined: a child is
+        # now asking, so only a task in hand or a shelf can make it pass.
+        if self.shelf or (self.undispensed if self.is_root
+                          else self.tasks_held) > 0:
+            if self.current_transfer is None:
+                self._send_next()
+            elif self.interruptible:
+                self._maybe_preempt()
 
     # ------------------------------------------------------------- compute
     def try_start_compute(self) -> None:
         """Feed the local CPU if it is idle and a task is available."""
-        if self.cpu_busy or not self.has_task():
+        if self.cpu_busy or (self.undispensed if self.is_root
+                             else self.tasks_held) <= 0:
             return
         self._take_task()
         self.cpu_busy = True
@@ -428,9 +433,25 @@ class NodeAgent:
         return best
 
     def try_send(self) -> None:
-        """Start (or resume) the highest-priority eligible transfer."""
-        if self.current_transfer is not None:
-            return
+        """Start (or resume) the highest-priority eligible transfer.
+
+        A send attempt that cannot start anything returns before
+        :meth:`_choose_next`: when the port is busy, or when no shelf is
+        held and there is no task in hand or no requesting child (a FIFO
+        parent queues exactly ``child_requests`` entries: FIFO runs have
+        no faults or churn, the only paths that move one without the
+        other).  The relay-hop callers (:meth:`_send_done`,
+        :meth:`_on_request`, :meth:`_maybe_preempt`) make this test inline
+        and call :meth:`_send_next` directly.
+        """
+        if self.current_transfer is None and (
+                self.shelf
+                or (self.child_requests and (self.undispensed if self.is_root
+                                             else self.tasks_held) > 0)):
+            self._send_next()
+
+    def _send_next(self) -> None:
+        """:meth:`try_send` past its test: the port is free."""
         child = self._choose_next()
         if child is None:
             return
@@ -443,7 +464,8 @@ class NodeAgent:
                 child = self._choose_next()
                 if child is None:
                     return
-        transfer = self.shelf.pop(child.id, None)
+        shelf = self.shelf
+        transfer = shelf.pop(child.id, None) if shelf else None
         tracer = self.tracer
         if transfer is None:
             if self.fifo_queue is not None:
@@ -473,11 +495,15 @@ class NodeAgent:
         """Put ``transfer`` on the port and schedule its completion.
         (Graph agents override to route through the contention manager.)"""
         env = self.env
-        transfer.started_at = env.now
+        transfer.started_at = env._now
         transfer.timer = env.call_in(transfer.remaining, self._send_done, transfer)
         self.current_transfer = transfer
 
     def _send_done(self, transfer: Transfer) -> None:
+        """One relay hop: the task lands at the child, which feeds its CPU
+        and then its own port; then this node's port moves on.  Each port
+        is tried only when :meth:`try_send`'s test passes — on most hops
+        the child is a leaf, or its new task went straight to its CPU."""
         self.current_transfer = None
         child = transfer.child
         tracer = self.tracer
@@ -496,33 +522,37 @@ class NodeAgent:
             self._grow_buffer()
         if self.decay:
             self._decay_tick()
-        child._on_task_arrival()
-        self.try_send()
-
-    def _on_task_arrival(self) -> None:
-        if self.decay:
+        if child.decay:
             # A streak of arrivals that each find the CPU idle marks a
             # bandwidth-starved node whose extra buffers (and requests)
             # buy nothing — the over-requesting of §3.1 case 4.  Nodes
             # that are merely refilling a stock see back-to-back arrivals
             # with a busy CPU, which resets the streak.
-            if self.cpu_busy:
-                self.idle_arrival_streak = 0
+            if child.cpu_busy:
+                child.idle_arrival_streak = 0
             else:
-                self.idle_arrival_streak += 1
-                if (self.idle_arrival_streak >= self.decay_threshold
-                        and self.requested >= 2
-                        and self.buffers_total - self.decay_pending
-                        > self.decay_floor):
-                    self.decay_pending += 1
-                    self.idle_arrival_streak = 0
-        self.try_start_compute()
-        if self.current_transfer is None:
-            self.try_send()
-        elif self.interruptible:
-            # A fresh task may enable serving a child with higher priority
-            # than the transfer currently on the port.
-            self._maybe_preempt()
+                child.idle_arrival_streak += 1
+                if (child.idle_arrival_streak >= child.decay_threshold
+                        and child.requested >= 2
+                        and child.buffers_total - child.decay_pending
+                        > child.decay_floor):
+                    child.decay_pending += 1
+                    child.idle_arrival_streak = 0
+        if not child.cpu_busy:
+            child.try_start_compute()
+        # The child is never the root, so its task source is tasks_held.
+        if child.shelf or (child.child_requests and child.tasks_held > 0):
+            if child.current_transfer is None:
+                child._send_next()
+            elif child.interruptible:
+                # A fresh task may enable serving a child with higher
+                # priority than the transfer currently on the port.
+                child._maybe_preempt()
+        if self.current_transfer is None and (
+                self.shelf
+                or (self.child_requests and (self.undispensed if self.is_root
+                                             else self.tasks_held) > 0)):
+            self._send_next()
 
     # ---------------------------------------------------------- preemption
     def _maybe_preempt(self) -> None:
@@ -541,7 +571,7 @@ class NodeAgent:
             # The transfer's completion timer is due this very timestep (it
             # just has a later calendar sequence number): let it finish.
             return
-        current.timer.cancel()
+        env.cancel(current.timer)
         current.remaining -= elapsed
         current.started_at = None
         current.timer = None
@@ -551,7 +581,7 @@ class NodeAgent:
         tracer = self.tracer
         if tracer is not None:
             tracer.record(env.now, _trace.PREEMPT, self.id, current.child.id)
-        self.try_send()
+        self._send_next()  # the port is free and the shelf is not empty
 
     # ------------------------------------------------------------ mutation
     def apply_weight_change(self, attribute: str, value) -> None:
@@ -595,16 +625,16 @@ class NodeAgent:
         self.decay = False
         lost = self.tasks_held
         self.tasks_held = 0
-        if self.cpu_timer is not None:
-            self.cpu_timer.cancel()
-            self.cpu_timer = None
-        if self.cpu_busy:
+        env = self.env
+        if self.cpu_busy:  # the CPU's timer is pending exactly while busy
+            env.cancel(self.cpu_timer)
             self.cpu_busy = False
             lost += 1
+        self.cpu_timer = None
         transfer = self.current_transfer
         if transfer is not None:
             if transfer.timer is not None:
-                transfer.timer.cancel()
+                env.cancel(transfer.timer)
             self.current_transfer = None
             lost += 1
             self.engine.transfers_wasted += 1
@@ -613,11 +643,11 @@ class NodeAgent:
             self.engine.transfers_wasted += len(self.shelf)
             self.shelf.clear()
         if self.sweep_timer is not None:
-            self.sweep_timer.cancel()
+            env.cancel(self.sweep_timer)
             self.sweep_timer = None
         if self.probe_timers:
             for timer in self.probe_timers.values():
-                timer.cancel()
+                env.cancel(timer)
             self.probe_timers.clear()
         return lost
 
@@ -665,7 +695,7 @@ class NodeAgent:
         self.suspect.discard(child.id)
         timer = self.probe_timers.pop(child.id, None)
         if timer is not None:
-            timer.cancel()
+            self.env.cancel(timer)
         if child not in self.children:
             # Declared dead, but the partition healed: re-attach.
             self.children.append(child)
@@ -688,7 +718,7 @@ class NodeAgent:
         self.suspect.discard(child.id)
         timer = self.probe_timers.pop(child.id, None)
         if timer is not None:
-            timer.cancel()
+            self.env.cancel(timer)
         if child in self.children:
             self.children.remove(child)
             self.resort_children()

@@ -327,7 +327,7 @@ class ProtocolEngine:
             killed = 0
             if transfer is not None and transfer.child is victim:
                 if transfer.timer is not None:
-                    transfer.timer.cancel()
+                    self.env.cancel(transfer.timer)
                 parent.current_transfer = None
                 killed += 1
             if parent.shelf.pop(victim.id, None) is not None:
@@ -375,7 +375,7 @@ class ProtocolEngine:
             # The in-flight task dies on the wire.  (A *shelved* transfer
             # is parked at the parent and survives the outage.)
             if transfer.timer is not None:
-                transfer.timer.cancel()
+                self.env.cancel(transfer.timer)
             parent.current_transfer = None
             self.transfers_wasted += 1
             # The child's buffer re-requests; the request stays deferred

@@ -101,7 +101,7 @@ class GraphNodeAgent(NodeAgent):
             return
         remaining, updates = engine.contention.pause(current, env.now)
         if current.timer is not None:  # a starved flow stalls timer-less
-            current.timer.cancel()
+            env.cancel(current.timer)
         current.remaining = remaining
         current.started_at = None
         current.timer = None
@@ -112,7 +112,7 @@ class GraphNodeAgent(NodeAgent):
         if tracer is not None:
             tracer.record(env.now, _trace.PREEMPT, self.id, current.child.id)
         engine._apply_rate_updates(updates)
-        self.try_send()
+        self._send_next()  # the port is free and the shelf is not empty
 
 
 class GraphFaultDriver:
@@ -326,7 +326,7 @@ class GraphFaultDriver:
             sender = child.parent
             lane = child.engine
             if transfer.timer is not None:
-                transfer.timer.cancel()
+                self.env.cancel(transfer.timer)
                 transfer.timer = None
             # Active flows always sit on their sender's port (a child is
             # re-parented only after its old parent's flows were killed).
@@ -556,7 +556,7 @@ class GraphProtocolEngine(ProtocolEngine):
         for transfer, rate, volume in updates:
             timer = transfer.timer
             if timer is not None:
-                timer.cancel()
+                env.cancel(timer)
             transfer.remaining = volume
             transfer.started_at = now
             if volume > 0:

@@ -20,7 +20,7 @@ Quick example::
     assert results == [3]
 """
 
-from .core import Environment, Infinity, Timer
+from .core import Environment, Infinity
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from .process import Interrupt, Process
 from .resources import (
@@ -38,7 +38,6 @@ from . import monitor
 __all__ = [
     "Environment",
     "Infinity",
-    "Timer",
     "Event",
     "Timeout",
     "Condition",

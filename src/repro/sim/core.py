@@ -8,12 +8,14 @@ virtual (integer- or float-valued) time, and two scheduling APIs:
   :class:`~repro.sim.events.Timeout`, generator-based
   :class:`~repro.sim.process.Process` coroutines, shared resources and stores —
   used by the examples and available to downstream users, and
-* a **low-level timer API** (:meth:`Environment.call_in` /
-  :meth:`Environment.call_at`) returning cancellable :class:`Timer` handles,
-  used by the protocol engine on its hot path where coroutine overhead would
-  dominate.
+* a **low-level callback API** (:meth:`Environment.call_in` /
+  :meth:`Environment.call_at`) returning the calendar entry itself as a
+  handle that :meth:`Environment.cancel` revokes, used by the protocol
+  engine on its hot path where coroutine overhead would dominate.
 
-Both APIs share one calendar, so they can be mixed freely.  Determinism:
+Both APIs share one calendar, so they can be mixed freely: every entry is
+``(time, priority, seq, fn, args)`` and runs as ``fn(*args)`` — a
+triggered event is queued as ``(..., event._process, ())``.  Determinism:
 entries are ordered by ``(time, priority, sequence)`` where the sequence
 number increases monotonically with scheduling order, so runs with the same
 seed replay identically.
@@ -21,13 +23,14 @@ seed replay identically.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, Optional, Union
 
 from ..errors import SimulationError
 from .events import AllOf, AnyOf, Event, Timeout, PENDING, _Entry
 
-__all__ = ["Environment", "Timer", "Infinity", "NORMAL", "URGENT"]
+__all__ = ["Environment", "Infinity", "NORMAL", "URGENT"]
 
 #: Placeholder for "run forever" / "never".
 Infinity: float = float("inf")
@@ -37,76 +40,13 @@ NORMAL = 1
 #: Priority used for loop-control entries such as ``run(until=...)`` stops.
 URGENT = 0
 
-#: Compaction trigger: once at least this many cancelled timers sit in the
+#: The form a trace hook receives an integer-time entry in: its five fields
+#: by name (a non-integer-time entry is an ``_Entry`` and passed as is).
+_Call = namedtuple("_Call", "time prio seq fn args")
+
+#: Compaction trigger: once at least this many cancelled entries sit in the
 #: heap *and* they outnumber the live entries, the calendar is rebuilt.
 _COMPACT_MIN = 1024
-
-
-class Timer:
-    """A cancellable low-level callback scheduled on the event calendar.
-
-    Timers are the fast path of the kernel: one heap entry, one attribute
-    check, one call.  They are returned by :meth:`Environment.call_in` and
-    :meth:`Environment.call_at` and can be revoked with :meth:`cancel` at any
-    point before they fire.
-
-    Cancellation is lazy: the heap entry stays in place, tombstoned, and the
-    environment counts outstanding tombstones so it can rebuild the calendar
-    once they dominate it (preemption-heavy protocol runs cancel a large
-    share of their transfer timers).
-    """
-
-    __slots__ = ("env", "time", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, env: "Environment", time, seq: int,
-                 fn: Callable[..., Any], args: tuple):
-        self.env = env
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def __lt__(self, other: "Timer") -> bool:  # heap tie-break safety net
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def cancel(self) -> None:
-        """Revoke the timer.  Cancelling an already-fired (or already
-        cancelled) timer is a no-op."""
-        if self.cancelled or self.fn is _fired:
-            return
-        self.cancelled = True
-        # Drop references so cancelled entries sitting in the heap do not pin
-        # arbitrary object graphs alive until they are popped.
-        self.fn = _noop
-        self.args = ()
-        env = self.env
-        env._cancelled += 1
-        if env._cancelled >= _COMPACT_MIN and env._cancelled * 2 >= len(env._heap):
-            env._compact()
-
-    @property
-    def active(self) -> bool:
-        """``True`` while the timer is still pending (not fired, not cancelled)."""
-        return not self.cancelled and self.fn is not _fired
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Timer t={self.time} seq={self.seq} {state}>"
-
-
-def _noop(*_args: Any) -> None:
-    return None
-
-
-def _cancelled_entry(entry) -> bool:
-    """``True`` for a tombstoned Timer slot (either calendar shape)."""
-    item = entry[3] if entry.__class__ is tuple else entry.item
-    return item.__class__ is Timer and item.cancelled
-
-
-def _fired(*_args: Any) -> None:  # sentinel assigned after a timer runs
-    return None
 
 
 class _StopRun(Exception):
@@ -137,18 +77,23 @@ class Environment:
 
     def __init__(self, initial_time: Union[int, float] = 0):
         self._now = initial_time
-        #: Calendar entries — a mixed heap of two slot shapes sharing the
-        #: ``(time, priority, seq)`` total order: plain tuples for
+        #: Calendar entries — a mixed heap of two slot shapes holding the
+        #: same five fields ``(time, priority, seq, fn, args)`` and sharing
+        #: the ``(time, priority, seq)`` total order: plain tuples for
         #: integer times (the common case; comparisons stay entirely in
         #: C) and :class:`~repro.sim.events._Entry` objects for
         #: non-integer times (their cached integer-ratio comparison beats
         #: ``Fraction`` dispatch on contended graph runs).
         self._heap: list = []
         self._seq = 0
-        self._cancelled = 0  # tombstoned timers still sitting in the heap
+        #: Sequence numbers of cancelled entries not yet popped (lazy
+        #: deletion: the entry stays in the heap until it surfaces).
+        self._dead: set = set()
         #: Number of calendar entries processed so far (monitoring hook).
         self.processed_count = 0
-        #: Optional callable ``(time, item)`` invoked before each entry runs.
+        #: Optional callable ``(time, entry)`` invoked before each entry
+        #: runs; ``entry.fn`` and ``entry.args`` are the call about to be
+        #: made (``entry`` also has ``time``, ``prio`` and ``seq``).
         self.trace_hook: Optional[Callable[[Any, Any], None]] = None
         self._active_process = None  # set by Process while executing
 
@@ -166,15 +111,16 @@ class Environment:
     def peek(self) -> Union[int, float]:
         """Time of the next calendar entry, or :data:`Infinity` if empty."""
         heap = self._heap
+        dead = self._dead
         while heap:
             entry = heap[0]
             if entry.__class__ is tuple:
-                time, _prio, _seq, item = entry
+                time, seq = entry[0], entry[2]
             else:
-                time, item = entry.time, entry.item
-            if item.__class__ is Timer and item.cancelled:
+                time, seq = entry.time, entry.seq
+            if seq in dead:
                 heappop(heap)
-                self._cancelled -= 1
+                dead.discard(seq)
                 continue
             return time
         return Infinity
@@ -184,11 +130,12 @@ class Environment:
         return self.peek() is Infinity
 
     # ----------------------------------------------------------- low level
-    def call_at(self, time, fn: Callable[..., Any], *args: Any) -> Timer:
+    def call_at(self, time, fn: Callable[..., Any], *args: Any):
         """Schedule ``fn(*args)`` at absolute virtual ``time``.
 
-        Returns a :class:`Timer` handle whose :meth:`Timer.cancel` revokes
-        the call.  Scheduling in the past raises :class:`SimulationError`.
+        Returns the calendar entry, the handle :meth:`cancel` takes to
+        revoke the call.  Scheduling in the past raises
+        :class:`SimulationError`.
         """
         if time < self._now:
             raise SimulationError(
@@ -196,14 +143,14 @@ class Environment:
             )
         seq = self._seq + 1
         self._seq = seq
-        timer = Timer(self, time, seq, fn, args)
         if time.__class__ is int:
-            heappush(self._heap, (time, NORMAL, seq, timer))
+            entry = (time, NORMAL, seq, fn, args)
         else:
-            heappush(self._heap, _Entry(time, NORMAL, seq, timer))
-        return timer
+            entry = _Entry(time, NORMAL, seq, fn, args)
+        heappush(self._heap, entry)
+        return entry
 
-    def call_in(self, delay, fn: Callable[..., Any], *args: Any) -> Timer:
+    def call_in(self, delay, fn: Callable[..., Any], *args: Any):
         """Schedule ``fn(*args)`` after ``delay`` time units (``delay >= 0``).
 
         This is the protocol engine's per-event scheduling call, so it is
@@ -215,12 +162,37 @@ class Environment:
         time = self._now + delay
         seq = self._seq + 1
         self._seq = seq
-        timer = Timer(self, time, seq, fn, args)
         if time.__class__ is int:
-            heappush(self._heap, (time, NORMAL, seq, timer))
+            entry = (time, NORMAL, seq, fn, args)
         else:
-            heappush(self._heap, _Entry(time, NORMAL, seq, timer))
-        return timer
+            entry = _Entry(time, NORMAL, seq, fn, args)
+        heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, handle) -> None:
+        """Revoke the call whose entry ``handle`` :meth:`call_in` or
+        :meth:`call_at` returned.
+
+        Cancellation is lazy: the entry's sequence number is marked dead
+        and the entry is dropped when it surfaces, or when dead entries
+        dominate the calendar (see :data:`_COMPACT_MIN`).  Cancelling an
+        entry that already ran, or was already cancelled, is a no-op.
+        """
+        heap = self._heap
+        if not heap or handle < heap[0]:
+            # Already ran: a popped entry was the calendar's minimum, and
+            # later entries are scheduled no earlier, so it ranks below
+            # everything still queued (only a loop-control URGENT entry
+            # queued at ``now`` can rank lower; marking a fired entry dead
+            # then is merely redundant).
+            return
+        seq = handle[2] if handle.__class__ is tuple else handle.seq
+        dead = self._dead
+        if seq in dead:
+            return
+        dead.add(seq)
+        if len(dead) >= _COMPACT_MIN and len(dead) * 2 >= len(heap):
+            self._compact()
 
     # ---------------------------------------------------------- high level
     def schedule(self, event: Event, delay: Union[int, float] = 0,
@@ -235,9 +207,11 @@ class Environment:
         self._seq += 1
         time = self._now + delay
         if time.__class__ is int:
-            heappush(self._heap, (time, priority, self._seq, event))
+            heappush(self._heap,
+                     (time, priority, self._seq, event._process, ()))
         else:
-            heappush(self._heap, _Entry(time, priority, self._seq, event))
+            heappush(self._heap,
+                     _Entry(time, priority, self._seq, event._process, ()))
 
     def event(self) -> Event:
         """Create a new untriggered :class:`Event` bound to this environment."""
@@ -270,33 +244,25 @@ class Environment:
         the loop (they would otherwise be silently lost).
         """
         heap = self._heap
+        dead = self._dead
         while True:
             if not heap:
                 raise SimulationError("step() on an empty calendar")
             entry = heappop(heap)
             if entry.__class__ is tuple:
-                time, _prio, _seq, item = entry
+                time, _prio, seq, fn, args = entry
             else:
-                time, item = entry.time, entry.item
-            if item.__class__ is Timer:
-                if item.cancelled:
-                    self._cancelled -= 1
-                    continue
-                self._now = time
-                self.processed_count += 1
-                if self.trace_hook is not None:
-                    self.trace_hook(time, item)
-                fn, args = item.fn, item.args
-                item.fn = _fired
-                item.args = ()
-                fn(*args)
-                return
-            # High-level Event
+                time, seq, fn, args = (entry.time, entry.seq,
+                                       entry.fn, entry.args)
+            if seq in dead:
+                dead.discard(seq)
+                continue
             self._now = time
             self.processed_count += 1
             if self.trace_hook is not None:
-                self.trace_hook(time, item)
-            item._process()
+                self.trace_hook(time, _Call._make(entry)
+                                if entry.__class__ is tuple else entry)
+            fn(*args)
             return
 
     def run(self, until: Union[None, int, float, Event] = None) -> Any:
@@ -325,49 +291,41 @@ class Environment:
                 )
             stop_event = None
             self._seq += 1
-            timer = Timer(self, until, self._seq, self._stop_at, ())
             if until.__class__ is int:
-                heappush(self._heap, (until, URGENT, self._seq, timer))
+                heappush(self._heap,
+                         (until, URGENT, self._seq, self._stop_at, ()))
             else:
-                heappush(self._heap, _Entry(until, URGENT, self._seq, timer))
+                heappush(self._heap,
+                         _Entry(until, URGENT, self._seq, self._stop_at, ()))
 
         # The event loop proper.  This duplicates :meth:`step` deliberately:
-        # inlining the dispatch into one tight loop (with the heap and
-        # ``heappop`` bound to locals) removes two method calls and several
-        # attribute loads per calendar entry, which is where the bulk of the
-        # kernel's per-event cost lives.  Any behavioural change here must be
-        # mirrored in :meth:`step`.
+        # inlining the dispatch into one tight loop (with the heap, the dead
+        # set and ``heappop`` bound to locals) removes two method calls and
+        # several attribute loads per calendar entry, which is where the
+        # bulk of the kernel's per-event cost lives.  Any behavioural change
+        # here must be mirrored in :meth:`step`.
         heap = self._heap
+        dead = self._dead
         pop = heappop
-        timer_cls = Timer
         tuple_cls = tuple
+        as_call = _Call._make
         try:
             while heap:
                 entry = pop(heap)
                 if entry.__class__ is tuple_cls:
-                    time, _prio, _seq, item = entry
+                    time, _prio, seq, fn, args = entry
                 else:
-                    time, item = entry.time, entry.item
-                if item.__class__ is timer_cls:
-                    if item.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    self._now = time
-                    self.processed_count += 1
-                    if self.trace_hook is not None:
-                        self.trace_hook(time, item)
-                    fn = item.fn
-                    # Mark fired via the fn sentinel only; clearing args too
-                    # would cost a second store per event for no observable
-                    # difference (the entry is already off the heap).
-                    item.fn = _fired
-                    fn(*item.args)
-                else:
-                    self._now = time
-                    self.processed_count += 1
-                    if self.trace_hook is not None:
-                        self.trace_hook(time, item)
-                    item._process()
+                    time, seq, fn, args = (entry.time, entry.seq,
+                                           entry.fn, entry.args)
+                if dead and seq in dead:
+                    dead.discard(seq)
+                    continue
+                self._now = time
+                self.processed_count += 1
+                if self.trace_hook is not None:
+                    self.trace_hook(time, as_call(entry)
+                                    if entry.__class__ is tuple_cls else entry)
+                fn(*args)
         except _StopRun as stop:
             return stop.value
         if isinstance(until, Event):
@@ -382,20 +340,23 @@ class Environment:
 
     # Internal ----------------------------------------------------------
     def _compact(self) -> None:
-        """Rebuild the calendar without tombstoned timers.
+        """Rebuild the calendar without cancelled entries.
 
         Lazy deletion leaves cancelled entries in the heap until they are
         popped; once they outnumber live entries (see :data:`_COMPACT_MIN`)
         the heap is filtered and re-heapified in one O(n) pass.  Entry order
-        is untouched — ordering lives in the ``(time, priority, seq)`` tuple
+        is untouched — ordering lives in the ``(time, priority, seq)``
         prefix — so compaction never changes what runs when.
         """
         heap = self._heap
-        # In-place so the list object keeps its identity: the inlined loop in
-        # :meth:`run` holds a local reference to it across callbacks.
-        heap[:] = [entry for entry in heap if not _cancelled_entry(entry)]
+        dead = self._dead
+        # In place, list and set alike: the inlined loop in :meth:`run`
+        # holds local references to both across callbacks.
+        heap[:] = [entry for entry in heap
+                   if (entry[2] if entry.__class__ is tuple else entry.seq)
+                   not in dead]
         heapify(heap)
-        self._cancelled = 0
+        dead.clear()
 
     def _stop_at(self) -> None:
         raise _StopRun(None)

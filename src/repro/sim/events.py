@@ -28,15 +28,16 @@ _NORMAL = 1
 
 class _Entry:
     """A calendar slot for a *non-integer* time, ordered by
-    ``(time, priority, sequence)``.
+    ``(time, priority, sequence)``, carrying the call ``fn(*args)`` it runs.
 
     Lives here (not in :mod:`repro.sim.core`) because the zero-delay
     trigger path below pushes entries too and core imports this module.
 
     The calendar is a mixed heap: integer-time slots are plain
-    ``(time, prio, seq, item)`` tuples whose comparisons run entirely in
-    C, and only non-integer times (Fraction times on contended graph
-    runs, float times in user code) get one of these.  Tuple entries pay
+    ``(time, prio, seq, fn, args)`` tuples whose comparisons run entirely
+    in C (``seq`` is unique, so they never reach ``fn``), and only
+    non-integer times (Fraction times on contended graph runs, float
+    times in user code) get one of these.  Tuple entries pay
     ``Fraction.__eq__`` *and* ``Fraction.__lt__`` — each a
     generic-dispatch call — per sift step once fractional times appear,
     which is the kernel's single hottest operation on contended runs.
@@ -55,13 +56,14 @@ class _Entry:
     which is what keeps calendars — and fingerprints — bit-identical.
     """
 
-    __slots__ = ("approx", "num", "den", "prio", "seq", "time", "item")
+    __slots__ = ("approx", "num", "den", "prio", "seq", "time", "fn", "args")
 
-    def __init__(self, time, prio, seq, item):
+    def __init__(self, time, prio, seq, fn, args):
         self.time = time
         self.prio = prio
         self.seq = seq
-        self.item = item
+        self.fn = fn
+        self.args = args
         try:
             num, den = time.as_integer_ratio()
         except (OverflowError, ValueError):
@@ -112,7 +114,7 @@ class _Entry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<_Entry t={self.time!r} prio={self.prio} "
-                f"seq={self.seq} {self.item!r}>")
+                f"seq={self.seq} {self.fn!r}>")
 
 
 class _Pending:
@@ -192,9 +194,9 @@ class Event:
         env._seq = seq
         now = env._now
         if now.__class__ is int:
-            heappush(env._heap, (now, _NORMAL, seq, self))
+            heappush(env._heap, (now, _NORMAL, seq, self._process, ()))
         else:
-            heappush(env._heap, _Entry(now, _NORMAL, seq, self))
+            heappush(env._heap, _Entry(now, _NORMAL, seq, self._process, ()))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -210,9 +212,9 @@ class Event:
         env._seq = seq
         now = env._now
         if now.__class__ is int:
-            heappush(env._heap, (now, _NORMAL, seq, self))
+            heappush(env._heap, (now, _NORMAL, seq, self._process, ()))
         else:
-            heappush(env._heap, _Entry(now, _NORMAL, seq, self))
+            heappush(env._heap, _Entry(now, _NORMAL, seq, self._process, ()))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -271,9 +273,9 @@ class Timeout(Event):
         env._seq = seq
         time = env._now + delay
         if time.__class__ is int:
-            heappush(env._heap, (time, _NORMAL, seq, self))
+            heappush(env._heap, (time, _NORMAL, seq, self._process, ()))
         else:
-            heappush(env._heap, _Entry(time, _NORMAL, seq, self))
+            heappush(env._heap, _Entry(time, _NORMAL, seq, self._process, ()))
 
 
 class ConditionValue:

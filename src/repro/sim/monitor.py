@@ -10,11 +10,22 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, List, Optional, Tuple
 
+from .events import Event
+
 __all__ = ["TraceRecorder", "KindCounter", "attach", "detach"]
 
 
+def _kind_of(entry: Any) -> str:
+    """Kind of a calendar entry: the class name of the event it processes,
+    or ``"call"`` for a :meth:`~repro.sim.core.Environment.call_in` /
+    :meth:`~repro.sim.core.Environment.call_at` callback."""
+    owner = getattr(entry.fn, "__self__", None)
+    return type(owner).__name__ if isinstance(owner, Event) else "call"
+
+
 class TraceRecorder:
-    """Records ``(time, repr(item))`` tuples for every processed entry.
+    """Records ``(time, kind)`` tuples (see :func:`_kind_of`) for every
+    processed entry.
 
     Parameters
     ----------
@@ -31,7 +42,7 @@ class TraceRecorder:
 
     def __call__(self, time: Any, item: Any) -> None:
         records = self.records
-        records.append((time, type(item).__name__))
+        records.append((time, _kind_of(item)))
         if self.limit is not None and len(records) > self.limit:
             del records[0]
             self.dropped += 1
@@ -41,13 +52,13 @@ class TraceRecorder:
 
 
 class KindCounter:
-    """Counts processed calendar entries by item class name."""
+    """Counts processed calendar entries by :func:`_kind_of`."""
 
     def __init__(self):
         self.counts: Counter = Counter()
 
     def __call__(self, time: Any, item: Any) -> None:
-        self.counts[type(item).__name__] += 1
+        self.counts[_kind_of(item)] += 1
 
     def total(self) -> int:
         """Total number of entries observed."""

@@ -27,8 +27,8 @@ repeats every ``Δt`` timesteps, completing ``Δtasks`` tasks.  The
 controller then advances ``k`` whole periods *analytically*:
 
 * ``env.now`` and every pending timer shift by ``k·Δt`` (a uniform shift
-  preserves heap order, so the calendar is filtered of tombstones and
-  re-heapified in one pass);
+  preserves heap order, so the calendar is filtered of cancelled entries
+  and re-heapified in one pass);
 * ``completed``, the repository, and every per-node monotone tally
   (``computed``, ``transfers_started``, ``preemptions``,
   ``buffers_decayed``, ``processed_count``) jump by ``k`` times their
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from heapq import heapify
 from typing import Optional, Set, TYPE_CHECKING
 
-from .core import Timer, _Entry
+from .events import _Entry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..protocols.engine import ProtocolEngine
@@ -159,6 +159,15 @@ class _Record:
         self.far = far
         #: Open-loop driver counter snapshot (``None`` for closed bags).
         self.service = service
+
+
+def _moved(moved, handle):
+    """``handle``'s shifted entry, or ``handle`` itself if it was not
+    shifted (a far timer, an entry that already ran, or ``None``)."""
+    if handle is None:
+        return None
+    seq = handle[2] if handle.__class__ is tuple else handle.seq
+    return moved.get(seq, handle)
 
 
 class _Foreign(Exception):
@@ -352,29 +361,31 @@ class WarpController:
             parts.append(driver.fingerprint_state(now))
         calendar = []
         far = []
+        dead = env._dead
         try:
             for entry in sorted(env._heap):
                 if entry.__class__ is tuple:
-                    time, prio, _seq, item = entry
-                else:  # upgraded (non-int-time) calendar: _Entry objects
-                    time, prio, item = entry.time, entry.prio, entry.item
-                if item.__class__ is not Timer:
-                    raise _Foreign(item)
-                if item.cancelled:
+                    time, prio, seq, fn, args = entry
+                else:  # non-int-time slot: an _Entry object
+                    time, prio, seq, fn, args = (entry.time, entry.prio,
+                                                 entry.seq, entry.fn,
+                                                 entry.args)
+                if seq in dead:
                     continue
-                fn = item.fn
+                # Agent callbacks only: a triggered event (``_process``
+                # bound to an Event) or a loop-control stop is foreign.
                 owner = getattr(fn, "__self__", None)
                 if owner is None or not hasattr(owner, "fingerprint_state"):
                     raise _Foreign(fn)
                 delta = time - now
                 if delta > FAR_HORIZON:
                     far.append(((prio, owner.id, fn.__name__,
-                                 tuple(_canon_far_arg(a) for a in item.args)),
+                                 tuple(_canon_far_arg(a) for a in args)),
                                 delta))
                 else:
                     calendar.append(
                         (delta, prio, owner.id, fn.__name__,
-                         tuple(_canon_arg(a, now) for a in item.args)))
+                         tuple(_canon_arg(a, now) for a in args)))
         except _Foreign:
             return None
         far.sort()
@@ -486,38 +497,45 @@ class WarpController:
             driver.warp_apply(k, shift, prev.service, now)
 
         # Shift the calendar.  A uniform shift preserves every pairwise
-        # comparison, but dropping tombstones reorders the array, so the
+        # comparison, but dropping dead entries reorders the array, so the
         # filtered list is re-heapified (same invariant as _compact).  Far
         # timers keep their absolute times — the exact run's skipped span
         # never touches them, so shifting them would diverge from it.
+        dead = env._dead
         live = []
+        moved = {}  # seq -> shifted entry
         for entry in env._heap:
             if entry.__class__ is tuple:
-                time, prio, seq, item = entry
-            else:  # upgraded calendar (see Environment._upgrade)
-                time, prio, seq, item = (entry.time, entry.prio,
-                                         entry.seq, entry.item)
-            if item.cancelled:
+                time, prio, seq, fn, args = entry
+            else:  # non-int-time slot: an _Entry object
+                time, prio, seq, fn, args = (entry.time, entry.prio,
+                                             entry.seq, entry.fn, entry.args)
+            if seq in dead:
                 continue
             if time - now > FAR_HORIZON:
                 live.append(entry)
+                continue
+            if entry.__class__ is tuple:
+                entry = (time + shift, prio, seq, fn, args)
             else:
-                item.time += shift
-                if entry.__class__ is tuple:
-                    live.append((time + shift, prio, seq, item))
-                else:
-                    live.append(_Entry(time + shift, prio, seq, item))
+                entry = _Entry(time + shift, prio, seq, fn, args)
+            live.append(entry)
+            moved[seq] = entry
         env._heap[:] = live
         heapify(env._heap)
-        env._cancelled = 0
+        dead.clear()
 
         # Absolute-time state outside the calendar: in-flight transfer legs
         # remember when they started (preemption measures elapsed wire time
-        # against it).
+        # against it), and the calendar handles agents hold must be the
+        # shifted entries (``Environment.cancel`` compares a handle's time).
         for agent in engine.nodes:
             transfer = agent.current_transfer
-            if transfer is not None and transfer.started_at is not None:
-                transfer.started_at += shift
+            if transfer is not None:
+                if transfer.started_at is not None:
+                    transfer.started_at += shift
+                transfer.timer = _moved(moved, transfer.timer)
+            agent.cpu_timer = _moved(moved, agent.cpu_timer)
         env._now = now + shift
 
         self._finish(True, "warped", periods=k, period_time=dt,

@@ -1,15 +1,20 @@
-"""Golden-trace regression tests: exact event sequences on tiny platforms.
+"""Golden-trace regression tests: exact event sequences on tiny platforms,
+and pinned fingerprints on deep generator trees.
 
 These lock the protocol's micro-behaviour.  The Figure 2(a) fork under
 interruptible communication is hand-verified below; any change to the
 scheduling rules, priority order, preemption timing or request bookkeeping
-will shift these events and fail loudly.
+will shift these events and fail loudly.  The deep-tree goldens cover
+what two- and three-node platforms barely reach: multi-hop relays,
+request cascades, preemption with full shelves, and idle send attempts.
 """
 
 import pytest
 
+from repro.experiments.fig4 import FIG4_CONFIGS
 from repro.platform import PlatformTree, figure2a_tree
-from repro.protocols import ProtocolConfig, ProtocolEngine, Tracer
+from repro.platform.generator import PAPER_DEFAULTS, generate_tree
+from repro.protocols import ProtocolConfig, ProtocolEngine, Tracer, simulate
 from repro.protocols import trace as tr
 
 
@@ -116,3 +121,42 @@ class TestChainGolden:
         by_node = [e.node for e in trace.events
                    if e.kind == tr.COMPUTE_DONE]
         assert by_node == [0, 1, 0, 1, 0, 1]
+
+
+#: ``SimulationResult.fingerprint()`` (a sha256) of each ``PAPER_DEFAULTS``
+#: generator tree (seed: nodes, depth) under the four ``FIG4_CONFIGS``
+#: (non-IC/FB=1 with growth, IC/FB=1, IC/FB=2, IC/FB=3), 2,000 tasks each.
+DEEP_TREE_GOLDENS = {
+    0: (442, 26, (  # 1.8k preemptions per IC run
+        "bb9802f9eaf205c677802059d6b15587e8e461ed4e66b2c2ae674874d4235f93",
+        "689489655237bc52a557b534e856a1f964c09fb26355a5f73ff65e4c5612e7bd",
+        "83908c92c44c2dec02b62af33d92474bf3c39cad6a1e0fa164f39afc636036e6",
+        "ae9ad6a14922012f1fbd739297c4b709e7eae6fb3f30cea2c7b55116800f904b",
+    )),
+    2: (499, 38, (
+        "bc7815b2b78e26ef5e73b90ee86c301a0ddb02b76550cef818c9de62c4db5100",
+        "5898125724149d3b104f40855a05e474436e4f963bbf3216aad5a21f7d438e25",
+        "afe67b41638e43f6b983ced9545546fa63ab6b122b27a62e386b106eec3ad575",
+        "88c3876f9891a062dd50810e6158e26c0e0a894543b3570cb85b259ec03f8f0e",
+    )),
+    3: (131, 23, (
+        "8f55a186b7f7f695cea7a4d05ceb5fd769b17877986d405a2a10ade0011e6ecb",
+        "ed677eee1a82e117670092ce7fed7cadd274c337f2b7b83c636f37717b847ee8",
+        "8fb3dfdcdf78ca242aba1d0feb067f6318aafff30e85b3ca28e6e994a16c6aac",
+        "3c4a0cfb2b21e61df4a84b0431eb3b7de2497d67e13774c4312509503bd884b4",
+    )),
+}
+
+
+class TestDeepTreeGolden:
+    """Figure 4's protocols on deep random trees stay bit-identical."""
+
+    @pytest.mark.parametrize("seed", sorted(DEEP_TREE_GOLDENS))
+    def test_fig4_fingerprints(self, seed):
+        nodes, depth, expected = DEEP_TREE_GOLDENS[seed]
+        tree = generate_tree(PAPER_DEFAULTS, seed=seed)
+        assert len(tree) == nodes
+        assert max(tree.depth(i) for i in range(nodes)) == depth
+        got = tuple(simulate(tree, config, 2000).fingerprint()
+                    for config in FIG4_CONFIGS)
+        assert got == expected

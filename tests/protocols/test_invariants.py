@@ -21,6 +21,7 @@ from repro.platform import (ChurnSchedule, CrashEvent, EdgeFailureEvent,
 from repro.platform.generator import TreeGeneratorParams, generate_tree
 from repro.protocols import (GraphProtocolEngine, ProtocolConfig,
                              ProtocolEngine, topology_overlay)
+from repro.protocols.config import PriorityRule
 
 
 def check_send_index(nodes, time=None):
@@ -59,6 +60,9 @@ class InvariantChecker:
             assert node.incoming >= 0
             assert node.child_requests == sum(
                 ch.requested for ch in node.children)
+            if node.fifo_queue is not None:
+                # The send-attempt test reads child_requests for FIFO too.
+                assert len(node.fifo_queue) == node.child_requests
             if node.current_transfer is not None:
                 assert node.current_transfer.remaining > 0
             for child_id in node.shelf:
@@ -81,6 +85,7 @@ CONFIGS = [
     ProtocolConfig.interruptible(3),
     ProtocolConfig.non_interruptible(),
     ProtocolConfig.non_interruptible(2, buffer_growth=False),
+    ProtocolConfig.non_interruptible(priority_rule=PriorityRule.FIFO),
 ]
 
 

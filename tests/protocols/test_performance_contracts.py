@@ -7,10 +7,13 @@ silently blow up ensemble experiments if a change made them quadratic.
 
 import pytest
 
+from repro.experiments.fig4 import FIG4_CONFIGS
 from repro.platform import PlatformGraph, PlatformTree, generate_tree
 from repro.platform.examples import figure2a_tree
 from repro.platform.faults import CrashEvent, FaultSchedule
+from repro.platform.generator import PAPER_DEFAULTS
 from repro.protocols import ProtocolConfig, simulate
+from repro.protocols.agents import NodeAgent
 
 IC3 = ProtocolConfig.interruptible(3)
 
@@ -56,6 +59,34 @@ class TestEventComplexity:
         assert faulted.last_completion_time == 10**9
         assert faulted.crashed_node_ids == (2,)
         assert faulted.events_processed <= 2 * clean.events_processed
+
+
+class TestSendAttemptCost:
+    """A relay hop makes a send decision only when one can start
+    something: on deep trees most attempts find a leaf, or a parent with
+    no buffered task, and must return before ``_choose_next``."""
+
+    def test_send_decisions_per_transfer_leg(self, monkeypatch):
+        calls = {"decisions": 0, "legs": 0}
+        choose, begin = NodeAgent._choose_next, NodeAgent._begin_leg
+
+        def counted_choose(agent):
+            calls["decisions"] += 1
+            return choose(agent)
+
+        def counted_begin(agent, transfer):
+            calls["legs"] += 1
+            return begin(agent, transfer)
+
+        monkeypatch.setattr(NodeAgent, "_choose_next", counted_choose)
+        monkeypatch.setattr(NodeAgent, "_begin_leg", counted_begin)
+        tree = generate_tree(PAPER_DEFAULTS, seed=0)
+        assert len(tree) >= 300
+        for config in FIG4_CONFIGS:
+            simulate(tree, config, 2000)
+        # Every leg takes one decision; IC preemption checks add the rest.
+        assert calls["legs"] > 4 * 2000
+        assert calls["decisions"] <= 1.5 * calls["legs"]
 
 
 class TestRouteRefreshCost:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Environment, Infinity
+from repro.sim.core import NORMAL
 
 
 class TestClock:
@@ -63,7 +64,7 @@ class TestTimers:
         env = Environment()
         out = []
         t = env.call_in(5, out.append, 1)
-        t.cancel()
+        env.cancel(t)
         env.run()
         assert out == []
 
@@ -71,20 +72,27 @@ class TestTimers:
         env = Environment()
         t = env.call_in(1, lambda: None)
         env.run()
-        t.cancel()  # must not raise
+        env.cancel(t)  # must not raise
 
-    def test_active_property(self):
-        env = Environment()
-        t = env.call_in(1, lambda: None)
-        assert t.active
-        t.cancel()
-        assert not t.active
+    def test_handle_is_the_calendar_entry(self):
+        env = Environment(initial_time=2)
+        fn = lambda *_: None  # noqa: E731
+        t = env.call_in(1, fn, "a", 7)
+        assert t == (3, NORMAL, 1, fn, ("a", 7))
+        assert env._heap == [t]
+        env.cancel(t)
+        assert env.is_empty()
 
-    def test_active_false_after_fire(self):
+    def test_fired_entry_leaves_the_calendar(self):
         env = Environment()
-        t = env.call_in(1, lambda: None)
+        out = []
+        t = env.call_in(1, out.append, "x")
         env.run()
-        assert not t.active
+        assert out == ["x"] and env._heap == []
+        env.cancel(t)
+        later = env.call_in(1, out.append, "y")
+        env.run()
+        assert out == ["x", "y"] and later[2] == t[2] + 1
 
     def test_fifo_order_at_equal_times(self):
         env = Environment()
@@ -124,7 +132,7 @@ class TestPeek:
         env = Environment()
         t = env.call_in(1, lambda: None)
         env.call_in(2, lambda: None)
-        t.cancel()
+        env.cancel(t)
         assert env.peek() == 2
 
     def test_is_empty(self):
@@ -132,7 +140,7 @@ class TestPeek:
         assert env.is_empty()
         t = env.call_in(1, lambda: None)
         assert not env.is_empty()
-        t.cancel()
+        env.cancel(t)
         assert env.is_empty()
 
 
@@ -205,7 +213,7 @@ class TestRun:
         env = Environment()
         t = env.call_in(1, lambda: None)
         env.call_in(2, lambda: None)
-        t.cancel()
+        env.cancel(t)
         env.run()
         assert env.processed_count == 1
 

@@ -1,10 +1,13 @@
-"""Lazy-deletion timer cancellation: counters, compaction, ordering.
+"""Lazy-deletion cancellation: the dead set, compaction, ordering.
 
-The kernel tombstones cancelled timers in place and rebuilds the calendar
-once tombstones dominate (see ``repro.sim.core._COMPACT_MIN``).  These tests
-pin the bookkeeping and — crucially — that compaction never changes what
-runs when.
+``Environment.cancel`` marks an entry dead by its sequence number and
+leaves it in the heap; the kernel drops it when it surfaces and rebuilds
+the calendar once dead entries dominate (see
+``repro.sim.core._COMPACT_MIN``).  These tests pin the bookkeeping and —
+crucially — that compaction never changes what runs when.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -17,10 +20,10 @@ class TestCancelBookkeeping:
     def test_cancel_is_idempotent(self):
         env = Environment()
         timer = env.call_in(5, lambda: None)
-        timer.cancel()
-        timer.cancel()
-        assert env._cancelled == 1
-        assert not timer.active
+        env.cancel(timer)
+        env.cancel(timer)
+        assert env._dead == {timer[2]}
+        assert env.is_empty()
 
     def test_cancel_after_fire_is_noop(self):
         env = Environment()
@@ -28,40 +31,59 @@ class TestCancelBookkeeping:
         timer = env.call_in(1, fired.append, 1)
         env.run()
         assert fired == [1]
-        timer.cancel()  # must not count a tombstone for a popped entry
-        assert env._cancelled == 0
-        assert not timer.active
+        env.cancel(timer)  # must not mark a popped entry dead
+        assert not env._dead
+        later = env.call_in(1, fired.append, 2)
+        env.cancel(timer)  # nor once a later entry is queued
+        assert not env._dead
+        env.run()
+        assert fired == [1, 2] and later[2] == timer[2] + 1
 
     def test_pop_decrements_counter(self):
         env = Environment()
-        env.call_in(1, lambda: None).cancel()
+        env.cancel(env.call_in(1, lambda: None))
         env.call_in(2, lambda: None)
-        assert env._cancelled == 1
+        assert len(env._dead) == 1
         env.run()
-        assert env._cancelled == 0
+        assert not env._dead
 
     def test_peek_skips_tombstones(self):
         env = Environment()
-        env.call_in(1, lambda: None).cancel()
+        env.cancel(env.call_in(1, lambda: None))
         env.call_in(2, lambda: None)
         assert env.peek() == 2
-        assert env._cancelled == 0  # peek discarded the tombstone
+        assert not env._dead  # peek discarded the dead entry
 
     def test_step_skips_tombstones(self):
         env = Environment()
-        env.call_in(1, lambda: None).cancel()
+        env.cancel(env.call_in(1, lambda: None))
         out = []
         env.call_in(2, out.append, "live")
         env.step()
         assert out == ["live"]
-        assert env._cancelled == 0
+        assert not env._dead
 
-    def test_active_property(self):
+    def test_cancel_marks_the_seq_dead(self):
         env = Environment()
         timer = env.call_in(3, lambda: None)
-        assert timer.active
-        timer.cancel()
-        assert not timer.active
+        assert timer in env._heap and not env._dead
+        env.cancel(timer)
+        assert env._dead == {timer[2]}
+        assert timer in env._heap  # lazy: still queued until it surfaces
+
+    def test_fraction_time_handles(self):
+        """Non-integer times queue an ``_Entry``; it is the handle too."""
+        env = Environment()
+        fired = []
+        keep = env.call_in(Fraction(1, 3), fired.append, "keep")
+        drop = env.call_in(Fraction(1, 4), fired.append, "drop")
+        assert (keep.fn, keep.args) == (fired.append, ("keep",))
+        env.cancel(drop)
+        env.cancel(drop)
+        assert env._dead == {drop.seq}
+        env.run()
+        env.cancel(keep)  # already ran
+        assert fired == ["keep"] and not env._dead
 
 
 class TestCompaction:
@@ -77,40 +99,42 @@ class TestCompaction:
             else:
                 tombstones.append(env.call_in(i + 1, fired.append, -1))
         for timer in tombstones:
-            timer.cancel()
+            env.cancel(timer)
         # The _COMPACT_MIN-th cancel crossed both thresholds and compacted
-        # the 1024 tombstones present at that instant; the remaining 512
-        # cancels stay below the absolute floor and sit tombstoned.
-        assert env._cancelled == len(tombstones) - _COMPACT_MIN
-        assert len(env._heap) == len(survivors) + env._cancelled
+        # the 1024 dead entries present at that instant; the remaining 512
+        # cancels stay below the absolute floor and sit in the heap.
+        assert len(env._dead) == len(tombstones) - _COMPACT_MIN
+        assert len(env._heap) == len(survivors) + len(env._dead)
         env.run()
         assert fired == [i for i, _t in survivors]
 
     def test_compaction_keeps_heap_identity(self):
-        # run() holds a local binding to the heap list; a compaction from
-        # inside a callback must mutate that same list object.
+        # run() holds local bindings to the heap list and the dead set; a
+        # compaction from inside a callback must mutate those same objects.
         env = Environment()
         heap_id = id(env._heap)
+        dead_id = id(env._dead)
         fired = []
 
         def cancel_many():
             timers = [env.call_in(10 + i, fired.append, -1)
                       for i in range(2 * _COMPACT_MIN)]
             for timer in timers:
-                timer.cancel()
+                env.cancel(timer)
             env.call_in(5, fired.append, "after")
 
         env.call_in(1, cancel_many)
         env.run()
         assert fired == ["after"]
         assert id(env._heap) == heap_id
+        assert id(env._dead) == dead_id
 
     def test_no_compaction_below_threshold(self):
         env = Environment()
         for _ in range(10):
-            env.call_in(1, lambda: None).cancel()
-        # Tombstones dominate but the absolute floor is not reached.
-        assert env._cancelled == 10
+            env.cancel(env.call_in(1, lambda: None))
+        # Dead entries dominate but the absolute floor is not reached.
+        assert len(env._dead) == 10
         assert len(env._heap) == 10
 
     def test_ordering_with_heavy_cancellation(self):
@@ -121,7 +145,7 @@ class TestCompaction:
         for i in range(300):
             timer = env.call_in(7, fired.append, i)
             if i % 3 == 0:
-                timer.cancel()
+                env.cancel(timer)
             else:
                 keep.append(i)
         env.run()
@@ -139,7 +163,7 @@ class TestRunMirrorsStep:
         env.call_in(1, out.append, "t1b")
         env.timeout(1, "ev").callbacks.append(lambda e: out.append(e.value))
         cancelled = env.call_in(1, out.append, "never")
-        cancelled.cancel()
+        env.cancel(cancelled)
         if use_step:
             while not env.is_empty():
                 env.step()

@@ -1,5 +1,7 @@
 """Tests for kernel instrumentation hooks."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.sim import Environment
@@ -15,7 +17,7 @@ class TestTraceRecorder:
         env.timeout(5)
         env.run()
         assert [t for t, _ in rec.records] == [2, 5]
-        assert [k for _, k in rec.records] == ["Timer", "Timeout"]
+        assert [k for _, k in rec.records] == ["call", "Timeout"]
 
     def test_limit_drops_oldest(self):
         env = Environment()
@@ -47,9 +49,45 @@ class TestKindCounter:
         env.timeout(1)
         env.timeout(2)
         env.run()
-        assert counter.counts["Timer"] == 1
+        assert counter.counts["call"] == 1
         assert counter.counts["Timeout"] == 2
         assert counter.total() == 3
+
+
+class TestHookItem:
+    """A hook sees each entry's call: ``perfbench/ledger.py`` and the
+    liveness tests key on ``item.fn``."""
+
+    @pytest.mark.parametrize("delay", [2, Fraction(5, 2)])
+    def test_item_carries_callback_and_args(self, delay):
+        env = Environment()
+        seen = []
+        env.trace_hook = lambda time, item: seen.append(
+            (time, item.fn, item.args, item.seq))
+        out = []
+        env.call_in(delay, out.append, "x")
+        env.call_in(1, out.append, "y")
+        env.run()
+        assert seen == [(1, out.append, ("y",), 2),
+                        (delay, out.append, ("x",), 1)]
+        assert out == ["y", "x"]
+
+    def test_step_and_event_items(self):
+        env = Environment()
+        seen = []
+        env.trace_hook = lambda time, item: seen.append(item.fn)
+        timeout = env.timeout(1)
+        env.step()
+        assert seen == [timeout._process]
+
+    def test_cancelled_entries_are_not_seen(self):
+        env = Environment()
+        seen = []
+        env.trace_hook = lambda time, item: seen.append(item.args)
+        env.cancel(env.call_in(1, print, "dead"))
+        env.call_in(2, lambda *a: None, "live")
+        env.run()
+        assert seen == [("live",)]
 
 
 class TestAttachDetach:

@@ -1,9 +1,11 @@
 """Stateful property testing of the kernel's calendar.
 
 A hypothesis state machine schedules, cancels and runs timers in random
-interleavings and checks the kernel's core contract: every non-cancelled
-timer fires exactly once, in nondecreasing time order, FIFO at ties, and
-the clock never moves backwards.
+interleavings — double cancels, cancels after firing, bulk cancels that
+cross the compaction threshold, and ``step()`` mixed with
+``run(until=...)`` — and checks the kernel's core contract: every
+non-cancelled timer fires exactly once, at its due time, in nondecreasing
+time order, FIFO at ties, and the clock never moves backwards.
 """
 
 from hypothesis import settings
@@ -11,14 +13,15 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from hypothesis import strategies as st
 
 from repro.sim import Environment
+from repro.sim.core import _COMPACT_MIN
 
 
 class CalendarMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
         self.env = Environment()
-        self.live = {}          # handle id → (due time, seq)
-        self.fired = []         # (time, seq) in firing order
+        self.live = {}          # label → (due time, handle)
+        self.fired = []         # (time, label) in firing order
         self.cancelled = set()
         self.next_seq = 0
 
@@ -28,21 +31,63 @@ class CalendarMachine(RuleBasedStateMachine):
 
         return fire
 
-    @rule(delay=st.integers(0, 50))
-    def schedule(self, delay):
+    def _schedule(self, delay):
         seq = self.next_seq
         self.next_seq += 1
         handle = self.env.call_in(delay, self._make_callback(seq))
         self.live[seq] = (self.env.now + delay, handle)
+        return seq
 
-    @rule(data=st.data())
-    def cancel_one(self, data):
-        pending = [seq for seq, (_t, h) in self.live.items() if h.active]
+    def _pending(self):
+        fired = {s for _t, s in self.fired}
+        return [s for s in self.live
+                if s not in fired and s not in self.cancelled]
+
+    @rule(delay=st.integers(0, 50))
+    def schedule(self, delay):
+        self._schedule(delay)
+
+    @rule(data=st.data(), twice=st.booleans())
+    def cancel_one(self, data, twice):
+        pending = self._pending()
         if not pending:
             return
         seq = data.draw(st.sampled_from(pending))
-        self.live[seq][1].cancel()
+        handle = self.live[seq][1]
+        self.env.cancel(handle)
         self.cancelled.add(seq)
+        dead = set(self.env._dead)
+        assert handle[2] in dead or len(dead) == 0  # marked, or compacted
+        if twice:
+            self.env.cancel(handle)  # a double cancel changes nothing
+            assert self.env._dead == dead
+
+    @rule(data=st.data())
+    def cancel_after_fire(self, data):
+        if not self.fired:
+            return
+        _t, seq = data.draw(st.sampled_from(self.fired))
+        dead = set(self.env._dead)
+        heap = list(self.env._heap)
+        self.env.cancel(self.live[seq][1])  # a no-op on a fired entry
+        assert self.env._dead == dead
+        assert self.env._heap == heap
+
+    @rule(delays=st.lists(st.integers(0, 50), min_size=8, max_size=8))
+    def bulk_cancel_compacts(self, delays):
+        """Cancel enough entries to cross ``_COMPACT_MIN``: the calendar
+        is rebuilt and the survivors keep their order."""
+        total = _COMPACT_MIN + 2 * len(delays)
+        labels = [self._schedule(delays[i % len(delays)])
+                  for i in range(total)]
+        keep = set(labels[::total // len(delays)])
+        heap_before = len(self.env._heap)
+        for seq in labels:
+            if seq not in keep:
+                self.env.cancel(self.live[seq][1])
+                self.cancelled.add(seq)
+        assert len(self.env._dead) < _COMPACT_MIN  # a compaction ran
+        assert len(self.env._heap) < heap_before
 
     @rule(steps=st.integers(1, 5))
     def run_some(self, steps):
@@ -50,6 +95,15 @@ class CalendarMachine(RuleBasedStateMachine):
             if self.env.is_empty():
                 break
             self.env.step()
+
+    @rule(span=st.integers(0, 30), steps=st.integers(1, 3))
+    def run_until_then_step(self, span, steps):
+        until = self.env.now + span
+        self.env.run(until=until)
+        assert self.env.now == until
+        due = [self.live[s][0] for s in self._pending()]
+        assert all(t >= until for t in due)
+        self.run_some(steps)
 
     @rule()
     def run_all(self):
@@ -84,6 +138,7 @@ class CalendarMachine(RuleBasedStateMachine):
         assert len(fired_seqs) == len(set(fired_seqs))
         expected = set(self.live) - self.cancelled
         assert set(fired_seqs) == expected
+        assert not self.env._dead
 
 
 TestCalendarStateMachine = CalendarMachine.TestCase

@@ -121,3 +121,27 @@ class TestConditionEdgeCases:
         ev.succeed("done")
         env.run()
         assert env.run(until=ev) == "done"  # returns immediately
+
+
+class TestSimExports:
+    """The kernel's public surface: calendar entries are the handles, so
+    there is no timer class to export."""
+
+    def test_kernel_exports(self):
+        import repro.sim as sim
+
+        assert "Timer" not in sim.__all__
+        assert not hasattr(sim, "Timer")
+        for name in sim.__all__:
+            assert getattr(sim, name) is not None
+
+    def test_handle_api(self):
+        from repro.sim import Environment
+
+        env = Environment()
+        out = []
+        handle = env.call_at(4, out.append, "x")
+        assert (handle[0], handle[3], handle[4]) == (4, out.append, ("x",))
+        env.cancel(handle)
+        env.run()
+        assert out == [] and env.now == 0
