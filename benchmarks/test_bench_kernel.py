@@ -1,40 +1,15 @@
-"""Micro-benchmarks of the discrete-event kernel (the simulation substrate).
+"""Micro-benchmark of the discrete-event kernel (the simulation substrate).
 
-These are classic pytest-benchmark timings (multiple rounds) for the code
-paths the protocol engine exercises most: raw timers, coroutine processes,
-stores, and preemptible resources.  The workload bodies live in
+A classic pytest-benchmark timing (multiple rounds) of raw timer dispatch,
+the code path every protocol engine drives.  The workload body lives in
 ``workloads.py`` so the ``perf.py`` trajectory harness (and the committed
-``BENCH_kernel.json`` baseline) measures exactly the same code.  Each
-workload returns the kernel's ``processed_count`` — the events/sec
-denominator.
+``BENCH_kernel.json`` baseline) measures exactly the same code.  It
+returns the kernel's ``processed_count`` — the events/sec denominator.
 """
 
-from workloads import (
-    run_preemption_churn,
-    run_process_chain,
-    run_producer_consumer,
-    run_timer_storm,
-)
+from workloads import run_timer_storm
 
 
 def test_bench_timer_throughput(benchmark):
     processed = benchmark(run_timer_storm, 20_000)
     assert processed >= 20_000
-
-
-def test_bench_process_throughput(benchmark):
-    # 10 workers x 1000 timeouts, plus process-completion events.
-    processed = benchmark(run_process_chain, 10_000)
-    assert processed >= 10_000
-
-
-def test_bench_store_throughput(benchmark):
-    # 2000 puts + 2000 gets + pacing timeouts on each side.
-    processed = benchmark(run_producer_consumer, 2_000)
-    assert processed >= 4_000
-
-
-def test_bench_preemption_churn(benchmark):
-    # 500 high-priority rounds, each preempting the low-priority holder.
-    processed = benchmark(run_preemption_churn, 500)
-    assert processed >= 1_500

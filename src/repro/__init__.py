@@ -101,10 +101,8 @@ _LAZY_EXPORTS = {
     "solve_fork": "repro.steady_state",
     "SteadyStateSolution": "repro.steady_state",
     "ForkSolution": "repro.steady_state",
-    # unified simulation front door (legacy shapes keep working via
-    # DeprecationWarning shims inside repro.api)
+    # unified simulation front door
     "simulate": "repro.api",
-    "simulate_graph": "repro.api",
     # multi-application scheduling
     "Application": "repro.apps",
     "Workload": "repro.apps",

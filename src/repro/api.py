@@ -1,10 +1,7 @@
 """The public simulation front door: one :func:`simulate` for everything.
 
-The repo's entry points had forked — ``repro.protocols.simulate`` (tree
-engine), ``simulate_graph`` (graph engine), ``analyze.simulate_tree``
-(CLI report) — and multi-application scheduling would have added a
-fourth.  This module is the redesign: **one** public
-``repro.simulate(platform, workload, config)`` that dispatches on
+``repro.simulate(platform, workload, config)`` is the one entry point for
+every engine.  It dispatches on
 
 * the platform type — :class:`~repro.platform.tree.PlatformTree` runs
   the original tree engine, :class:`~repro.platform.graph.PlatformGraph`
@@ -13,26 +10,21 @@ fourth.  This module is the redesign: **one** public
   fast single-app path, while a :class:`~repro.apps.Workload`, an
   :class:`~repro.apps.Application`, or a list of them runs the
   multi-application engine (bit-identical for one default app).
-
-The legacy argument order ``simulate(tree, config, num_tasks)`` and the
-legacy :func:`simulate_graph` entry point keep working behind
-:class:`DeprecationWarning` shims.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
 from .errors import ProtocolError
 from .platform.graph import Overlay, PlatformGraph
 from .platform.tree import PlatformTree
-from .protocols import graph_engine as _graph_engine
+from .protocols.graph_engine import GraphProtocolEngine
 from .protocols.config import ProtocolConfig
 from .protocols.engine import ProtocolEngine
 from .protocols.result import SimulationResult
 
-__all__ = ["simulate", "simulate_graph"]
+__all__ = ["simulate"]
 
 
 def simulate(platform: Union[PlatformTree, PlatformGraph],
@@ -88,14 +80,6 @@ def simulate(platform: Union[PlatformTree, PlatformGraph],
         application, giving each app its own lane set — or a single
         tracer shared by every application.
     """
-    if isinstance(workload, ProtocolConfig):
-        # Legacy order: simulate(tree, config, num_tasks).
-        warnings.warn(
-            "simulate(platform, config, num_tasks) is deprecated; call "
-            "simulate(platform, workload, config) — e.g. "
-            "simulate(tree, 2000, config)",
-            DeprecationWarning, stacklevel=2)
-        workload, config = config, workload
     if config is None:
         raise ProtocolError("simulate() needs a ProtocolConfig")
 
@@ -139,7 +123,7 @@ def simulate(platform: Union[PlatformTree, PlatformGraph],
         if overlay is None:
             from .protocols.topologies import topology_overlay
             overlay = topology_overlay(platform)
-        engine = _graph_engine.GraphProtocolEngine(
+        engine = GraphProtocolEngine(
             platform, config, workload.total_tasks, overlay=overlay,
             record_buffer_timeline=record_buffer_timeline,
             record_completion_times=record_completion_times,
@@ -165,21 +149,3 @@ def simulate(platform: Union[PlatformTree, PlatformGraph],
             tracer = tracer[0]
         engine.tracer = tracer
     return engine.run()
-
-
-def simulate_graph(platform, config: ProtocolConfig, num_tasks: int, *,
-                   overlay: Optional[Overlay] = None,
-                   record_buffer_timeline: bool = False,
-                   record_completion_times: bool = True,
-                   faults=None,
-                   check_invariants: bool = False) -> SimulationResult:
-    """Deprecated shim — call :func:`repro.simulate` instead."""
-    warnings.warn(
-        "repro.simulate_graph() is deprecated; repro.simulate() dispatches "
-        "on the platform type itself",
-        DeprecationWarning, stacklevel=2)
-    return _graph_engine.simulate_graph(
-        platform, config, num_tasks, overlay=overlay,
-        record_buffer_timeline=record_buffer_timeline,
-        record_completion_times=record_completion_times,
-        faults=faults, check_invariants=check_invariants)

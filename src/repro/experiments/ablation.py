@@ -18,11 +18,10 @@
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExperimentError
 from ..harness import HarnessConfig, RunCoverage, run_seeds
@@ -192,39 +191,20 @@ def _overlay_seed(seed: int, *,
 DEFAULT_OVERLAY_GRAPHS = 30
 
 
-def overlay_strategies(scale: Union[ExperimentScale, int, None] = None,
+def overlay_strategies(scale: Optional[ExperimentScale] = None,
                        *, hosts: int = 40, progress=None, workers: int = 1,
-                       harness: Optional[HarnessConfig] = None,
-                       graphs: Optional[int] = None,
-                       base_seed: Optional[int] = None) -> OverlayAblationResult:
+                       harness: Optional[HarnessConfig] = None
+                       ) -> OverlayAblationResult:
     """Compare overlay constructions by achievable optimal rate.
 
     Takes the unified signature ``run(scale, *, progress=None, workers=1)``;
     ``scale.trees`` is the number of random physical topologies and
     ``scale.tasks`` is unused (no simulation happens — only the solver).
-    ``overlay_strategies(30)`` / ``graphs=`` / ``base_seed=`` are deprecated
-    spellings of the scale fields and emit a :class:`DeprecationWarning`.
     """
-    if isinstance(scale, int):
-        warnings.warn(
-            "overlay_strategies(graphs) is deprecated; pass an "
-            "ExperimentScale (its `trees` field is the graph count)",
-            DeprecationWarning, stacklevel=2)
-        graphs, scale = scale, None
-    elif graphs is not None:
-        warnings.warn(
-            "overlay_strategies(graphs=...) is deprecated; pass an "
-            "ExperimentScale (its `trees` field is the graph count)",
-            DeprecationWarning, stacklevel=2)
-    if base_seed is not None:
-        warnings.warn(
-            "overlay_strategies(base_seed=...) is deprecated; pass an "
-            "ExperimentScale (its `base_seed` field)",
-            DeprecationWarning, stacklevel=2)
-    if graphs is None:
-        graphs = scale.trees if scale is not None else DEFAULT_OVERLAY_GRAPHS
-    if base_seed is None:
-        base_seed = scale.base_seed if scale is not None else 0
+    if scale is None:
+        graphs, base_seed = DEFAULT_OVERLAY_GRAPHS, 0
+    else:
+        graphs, base_seed = scale.trees, scale.base_seed
 
     worker = partial(_overlay_seed, hosts=hosts)
     seeds = [base_seed + i for i in range(graphs)]

@@ -9,7 +9,6 @@ protocol on it and compares achieved throughput against the optimum.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, Optional
@@ -30,7 +29,7 @@ from ..steady_state import (
 from .reporting import fmt_num, fmt_opt, format_table
 
 __all__ = ["PROTOCOL_PRESETS", "load_tree", "analyze_tree",
-           "simulation_report", "simulate_tree"]
+           "simulation_report"]
 
 #: Named protocol presets accepted by the CLI.
 PROTOCOL_PRESETS: Dict[str, ProtocolConfig] = {
@@ -317,15 +316,3 @@ def _export_run(telemetry_out: str, result, tracers, want_trace: bool) -> int:
         return export_auto(telemetry_out, snapshots)
     return export_auto(telemetry_out, result.telemetry or [],
                        tracer=tracers[0] if want_trace else None)
-
-
-def simulate_tree(platform, protocol: str, tasks: int,
-                  telemetry: Optional[TelemetryConfig] = None,
-                  telemetry_out: Optional[str] = None) -> str:
-    """Deprecated shim — call :func:`simulation_report` instead."""
-    warnings.warn(
-        "analyze.simulate_tree() is deprecated; use "
-        "analyze.simulation_report() (same report, plus multi-application "
-        "support)", DeprecationWarning, stacklevel=2)
-    return simulation_report(platform, protocol, tasks, telemetry,
-                             telemetry_out)

@@ -15,11 +15,10 @@ post-change slope should track the new optimum closely.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExperimentError
 from ..harness import HarnessConfig, RunCoverage, run_seeds
@@ -107,11 +106,10 @@ def _run_scenario_for_pool(index: int, *, num_tasks: int,
     return _run_scenario(name, mutation, num_tasks, sample_points)
 
 
-def run(scale: Union[ExperimentScale, int, None] = None, *,
+def run(scale: Optional[ExperimentScale] = None, *,
         progress=None, workers: int = 1,
         harness: Optional[HarnessConfig] = None,
-        sample_points: int = 20,
-        num_tasks: Optional[int] = None) -> Fig7Result:
+        sample_points: int = 20) -> Fig7Result:
     """Run the three Figure 7 scenarios.
 
     Takes the unified experiment signature ``run(scale, *, progress=None,
@@ -120,22 +118,7 @@ def run(scale: Union[ExperimentScale, int, None] = None, *,
     fields of a scale do not apply here, only ``scale.tasks``).
     ``workers > 1`` fans the three independent scenarios out over a
     process pool; results come back in scenario order either way.
-
-    ``run(1000)`` / ``run(num_tasks=1000)`` are deprecated spellings of
-    ``run(scale.with_tasks(1000))`` and emit a :class:`DeprecationWarning`.
     """
-    if isinstance(scale, int):
-        warnings.warn(
-            "fig7.run(num_tasks) is deprecated; pass an ExperimentScale "
-            "(e.g. ExperimentScale(trees=1, tasks=...))",
-            DeprecationWarning, stacklevel=2)
-        scale = ExperimentScale(trees=1, tasks=scale)
-    if num_tasks is not None:
-        warnings.warn(
-            "fig7.run(num_tasks=...) is deprecated; pass an ExperimentScale "
-            "(e.g. ExperimentScale(trees=1, tasks=...))",
-            DeprecationWarning, stacklevel=2)
-        scale = ExperimentScale(trees=1, tasks=num_tasks)
     if scale is None:
         scale = ExperimentScale(trees=1, tasks=NUM_TASKS)
     if workers < 1:

@@ -1,34 +1,27 @@
-"""Discrete-event simulation kernel: the event loop.
+"""Discrete-event simulation kernel: the calendar and its event loop.
 
 This module is the substrate that replaces the SimGrid toolkit used in the
-paper.  It provides a :class:`Environment` with a binary-heap event calendar,
-virtual (integer- or float-valued) time, and two scheduling APIs:
+paper.  The reproduction needs three things from it: ordered event
+delivery, timed activities that can be cancelled, and virtual (integer- or
+float-valued) time.  :class:`Environment` provides exactly those through a
+binary-heap calendar and a callback API: :meth:`Environment.call_in` /
+:meth:`Environment.call_at` schedule ``fn(*args)`` and return the calendar
+entry itself as the handle :meth:`Environment.cancel` revokes, and
+:meth:`Environment.run` dispatches entries in order.
 
-* a **high-level API** in the style of SimPy — :class:`~repro.sim.events.Event`,
-  :class:`~repro.sim.events.Timeout`, generator-based
-  :class:`~repro.sim.process.Process` coroutines, shared resources and stores —
-  used by the examples and available to downstream users, and
-* a **low-level callback API** (:meth:`Environment.call_in` /
-  :meth:`Environment.call_at`) returning the calendar entry itself as a
-  handle that :meth:`Environment.cancel` revokes, used by the protocol
-  engine on its hot path where coroutine overhead would dominate.
-
-Both APIs share one calendar, so they can be mixed freely: every entry is
-``(time, priority, seq, fn, args)`` and runs as ``fn(*args)`` — a
-triggered event is queued as ``(..., event._process, ())``.  Determinism:
-entries are ordered by ``(time, priority, sequence)`` where the sequence
-number increases monotonically with scheduling order, so runs with the same
-seed replay identically.
+Every entry is ``(time, priority, seq, fn, args)``.  Determinism: entries
+are ordered by ``(time, priority, sequence)`` where the sequence number
+increases monotonically with scheduling order, so runs with the same seed
+replay identically.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from ..errors import SimulationError
-from .events import AllOf, AnyOf, Event, Timeout, PENDING, _Entry
 
 __all__ = ["Environment", "Infinity", "NORMAL", "URGENT"]
 
@@ -49,11 +42,96 @@ _Call = namedtuple("_Call", "time prio seq fn args")
 _COMPACT_MIN = 1024
 
 
+class _Entry:
+    """A calendar slot for a *non-integer* time, ordered by
+    ``(time, priority, sequence)``, carrying the call ``fn(*args)`` it runs.
+
+    The calendar is a mixed heap: integer-time slots are plain
+    ``(time, prio, seq, fn, args)`` tuples whose comparisons run entirely
+    in C (``seq`` is unique, so they never reach ``fn``), and only
+    non-integer times (Fraction times on contended graph runs, float
+    times in user code) get one of these.  Tuple entries pay
+    ``Fraction.__eq__`` *and* ``Fraction.__lt__`` — each a
+    generic-dispatch call — per sift step once fractional times appear,
+    which is the kernel's single hottest operation on contended runs.
+    The entry instead caches the time's exact integer ratio at
+    construction and compares by integer cross-multiplication, with a
+    float pre-filter in front: float division of two ints is correctly
+    rounded, and correct rounding is monotone, so ``approx(a) <
+    approx(b)`` already proves ``a < b`` — only *equal* approximations
+    fall through to the exact cross-multiply.
+
+    Cross-type comparisons ride Python's reflected-operator fallback:
+    ``tuple.__lt__`` returns ``NotImplemented`` for a non-tuple operand,
+    so ``tuple < entry`` lands in :meth:`__gt__` below.  Every order is
+    mathematically identical to the pure-tuple order for int, float and
+    Fraction times alike (``as_integer_ratio`` is exact for all three),
+    which is what keeps calendars — and fingerprints — bit-identical.
+    """
+
+    __slots__ = ("approx", "num", "den", "prio", "seq", "time", "fn", "args")
+
+    def __init__(self, time, prio, seq, fn, args):
+        self.time = time
+        self.prio = prio
+        self.seq = seq
+        self.fn = fn
+        self.args = args
+        try:
+            num, den = time.as_integer_ratio()
+        except (OverflowError, ValueError):
+            # Infinite (or NaN) float time: den == 0 makes the exact
+            # comparison below rank it after every finite time.
+            num, den = (1 if time > 0 else -1), 0
+        self.num = num
+        self.den = den
+        try:
+            self.approx = num / den
+        except (OverflowError, ZeroDivisionError):
+            self.approx = float("inf") if num > 0 else float("-inf")
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is tuple:  # int-time slot
+            lhs = self.num
+            rhs = other[0] * self.den
+            if lhs != rhs:
+                return lhs < rhs
+            if self.prio != other[1]:
+                return self.prio < other[1]
+            return self.seq < other[2]
+        a = self.approx
+        b = other.approx
+        if a < b:
+            return True
+        if b < a:
+            return False
+        lhs = self.num * other.den
+        rhs = other.num * self.den
+        if lhs != rhs:
+            return lhs < rhs
+        if self.prio != other.prio:
+            return self.prio < other.prio
+        return self.seq < other.seq
+
+    def __gt__(self, other) -> bool:
+        # Reflected form of ``tuple < entry`` (and ``sorted`` symmetry).
+        if other.__class__ is tuple:
+            lhs = self.num
+            rhs = other[0] * self.den
+            if lhs != rhs:
+                return lhs > rhs
+            if self.prio != other[1]:
+                return self.prio > other[1]
+            return self.seq > other[2]
+        return other.__lt__(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"<_Entry t={self.time!r} prio={self.prio} "
+                f"seq={self.seq} {self.fn!r}>")
+
+
 class _StopRun(Exception):
     """Internal control-flow exception used by ``run(until=...)``."""
-
-    def __init__(self, value: Any = None):
-        self.value = value
 
 
 class Environment:
@@ -81,9 +159,9 @@ class Environment:
         #: same five fields ``(time, priority, seq, fn, args)`` and sharing
         #: the ``(time, priority, seq)`` total order: plain tuples for
         #: integer times (the common case; comparisons stay entirely in
-        #: C) and :class:`~repro.sim.events._Entry` objects for
-        #: non-integer times (their cached integer-ratio comparison beats
-        #: ``Fraction`` dispatch on contended graph runs).
+        #: C) and :class:`_Entry` objects for non-integer times (their
+        #: cached integer-ratio comparison beats ``Fraction`` dispatch on
+        #: contended graph runs).
         self._heap: list = []
         self._seq = 0
         #: Sequence numbers of cancelled entries not yet popped (lazy
@@ -95,18 +173,12 @@ class Environment:
         #: runs; ``entry.fn`` and ``entry.args`` are the call about to be
         #: made (``entry`` also has ``time``, ``prio`` and ``seq``).
         self.trace_hook: Optional[Callable[[Any, Any], None]] = None
-        self._active_process = None  # set by Process while executing
 
     # ------------------------------------------------------------------ time
     @property
     def now(self) -> Union[int, float]:
         """Current virtual time."""
         return self._now
-
-    @property
-    def active_process(self):
-        """The :class:`~repro.sim.process.Process` currently executing, if any."""
-        return self._active_process
 
     def peek(self) -> Union[int, float]:
         """Time of the next calendar entry, or :data:`Infinity` if empty."""
@@ -129,7 +201,7 @@ class Environment:
         """``True`` when no live calendar entries remain."""
         return self.peek() is Infinity
 
-    # ----------------------------------------------------------- low level
+    # ---------------------------------------------------------- schedule
     def call_at(self, time, fn: Callable[..., Any], *args: Any):
         """Schedule ``fn(*args)`` at absolute virtual ``time``.
 
@@ -194,78 +266,8 @@ class Environment:
         if len(dead) >= _COMPACT_MIN and len(dead) * 2 >= len(heap):
             self._compact()
 
-    # ---------------------------------------------------------- high level
-    def schedule(self, event: Event, delay: Union[int, float] = 0,
-                 priority: int = NORMAL) -> None:
-        """Insert a triggered :class:`Event` into the calendar.
-
-        Normally invoked through :meth:`Event.succeed` / :meth:`Event.fail`
-        rather than directly.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        self._seq += 1
-        time = self._now + delay
-        if time.__class__ is int:
-            heappush(self._heap,
-                     (time, priority, self._seq, event._process, ()))
-        else:
-            heappush(self._heap,
-                     _Entry(time, priority, self._seq, event._process, ()))
-
-    def event(self) -> Event:
-        """Create a new untriggered :class:`Event` bound to this environment."""
-        return Event(self)
-
-    def timeout(self, delay, value: Any = None) -> Timeout:
-        """Create and schedule a :class:`Timeout` firing after ``delay``."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator) -> "Process":
-        """Start a coroutine :class:`~repro.sim.process.Process`."""
-        from .process import Process
-
-        return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition event that fires once *all* ``events`` have fired."""
-        return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition event that fires once *any* of ``events`` has fired."""
-        return AnyOf(self, list(events))
-
     # ---------------------------------------------------------------- loop
-    def step(self) -> None:
-        """Process exactly one calendar entry.
-
-        Raises :class:`SimulationError` when the calendar is empty.  Failed
-        events with no registered callbacks propagate their exception out of
-        the loop (they would otherwise be silently lost).
-        """
-        heap = self._heap
-        dead = self._dead
-        while True:
-            if not heap:
-                raise SimulationError("step() on an empty calendar")
-            entry = heappop(heap)
-            if entry.__class__ is tuple:
-                time, _prio, seq, fn, args = entry
-            else:
-                time, seq, fn, args = (entry.time, entry.seq,
-                                       entry.fn, entry.args)
-            if seq in dead:
-                dead.discard(seq)
-                continue
-            self._now = time
-            self.processed_count += 1
-            if self.trace_hook is not None:
-                self.trace_hook(time, _Call._make(entry)
-                                if entry.__class__ is tuple else entry)
-            fn(*args)
-            return
-
-    def run(self, until: Union[None, int, float, Event] = None) -> Any:
+    def run(self, until: Union[None, int, float] = None) -> None:
         """Run the event loop.
 
         Parameters
@@ -273,23 +275,13 @@ class Environment:
         until:
             * ``None`` — run until the calendar is exhausted;
             * a number — advance the clock to that time, processing every
-              entry scheduled strictly before it;
-            * an :class:`Event` — run until that event has been processed and
-              return its value (re-raising its exception if it failed).
+              entry scheduled strictly before it.
         """
-        if until is None:
-            stop_event = None
-        elif isinstance(until, Event):
-            stop_event = until
-            if stop_event.processed:
-                return stop_event._ok_value()
-            stop_event.callbacks.append(self._stop_on_event)
-        else:
+        if until is not None:
             if until < self._now:
                 raise SimulationError(
                     f"run(until={until!r}) is in the past (now={self._now!r})"
                 )
-            stop_event = None
             self._seq += 1
             if until.__class__ is int:
                 heappush(self._heap,
@@ -298,12 +290,10 @@ class Environment:
                 heappush(self._heap,
                          _Entry(until, URGENT, self._seq, self._stop_at, ()))
 
-        # The event loop proper.  This duplicates :meth:`step` deliberately:
-        # inlining the dispatch into one tight loop (with the heap, the dead
-        # set and ``heappop`` bound to locals) removes two method calls and
-        # several attribute loads per calendar entry, which is where the
-        # bulk of the kernel's per-event cost lives.  Any behavioural change
-        # here must be mirrored in :meth:`step`.
+        # The event loop proper, in one tight loop with the heap, the dead
+        # set and ``heappop`` bound to locals: per-entry attribute loads
+        # and method calls are where the bulk of the kernel's per-event
+        # cost lives.
         heap = self._heap
         dead = self._dead
         pop = heappop
@@ -326,17 +316,11 @@ class Environment:
                     self.trace_hook(time, as_call(entry)
                                     if entry.__class__ is tuple_cls else entry)
                 fn(*args)
-        except _StopRun as stop:
-            return stop.value
-        if isinstance(until, Event):
-            raise SimulationError(
-                "run() terminated: calendar exhausted before the 'until' "
-                "event was triggered"
-            )
+        except _StopRun:
+            return
         if until is not None:
             # Heap drained before reaching the stop time: clock jumps to it.
             self._now = until
-        return None
 
     # Internal ----------------------------------------------------------
     def _compact(self) -> None:
@@ -359,10 +343,4 @@ class Environment:
         dead.clear()
 
     def _stop_at(self) -> None:
-        raise _StopRun(None)
-
-    def _stop_on_event(self, event: Event) -> None:
-        if event.failed and not event.defused:
-            event.defused = True
-            raise event._value from None
-        raise _StopRun(event._value if event._value is not PENDING else None)
+        raise _StopRun

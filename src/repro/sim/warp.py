@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from heapq import heapify
 from typing import Optional, Set, TYPE_CHECKING
 
-from .events import _Entry
+from .core import _Entry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..protocols.engine import ProtocolEngine
@@ -372,8 +372,8 @@ class WarpController:
                                                  entry.args)
                 if seq in dead:
                     continue
-                # Agent callbacks only: a triggered event (``_process``
-                # bound to an Event) or a loop-control stop is foreign.
+                # Agent callbacks only: a loop-control stop or any other
+                # call not bound to an agent is foreign.
                 owner = getattr(fn, "__self__", None)
                 if owner is None or not hasattr(owner, "fingerprint_state"):
                     raise _Foreign(fn)

@@ -8,7 +8,7 @@ from repro.experiments.analyze import (
     PROTOCOL_PRESETS,
     analyze_tree,
     load_tree,
-    simulate_tree,
+    simulation_report,
 )
 from repro.experiments.cli import main
 from repro.platform import figure1_tree, to_json
@@ -47,22 +47,22 @@ class TestAnalyze:
 
 class TestSimulate:
     def test_report_contents(self):
-        report = simulate_tree(figure1_tree(), "ic3", 800)
+        report = simulation_report(figure1_tree(), "ic3", 800)
         assert "IC, FB=3" in report
         assert "normalized" in report
 
     def test_all_presets_run(self):
         for name in PROTOCOL_PRESETS:
-            report = simulate_tree(figure1_tree(), name, 200)
+            report = simulation_report(figure1_tree(), name, 200)
             assert "makespan" in report
 
     def test_unknown_protocol(self):
         with pytest.raises(ExperimentError):
-            simulate_tree(figure1_tree(), "warp-drive", 100)
+            simulation_report(figure1_tree(), "warp-drive", 100)
 
     def test_tiny_task_count_rejected(self):
         with pytest.raises(ExperimentError):
-            simulate_tree(figure1_tree(), "ic3", 1)
+            simulation_report(figure1_tree(), "ic3", 1)
 
 
 class TestCliIntegration:

@@ -1,5 +1,7 @@
 """Tests for the event-loop core: clock, calendar ordering, timers, run()."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.errors import SimulationError
@@ -178,30 +180,6 @@ class TestRun:
         env.run()
         assert out == [1, 2]
 
-    def test_run_until_event_returns_value(self):
-        env = Environment()
-        ev = env.event()
-        env.call_in(3, ev.succeed, "done")
-        assert env.run(until=ev) == "done"
-        assert env.now == 3
-
-    def test_run_until_never_triggered_event_raises(self):
-        env = Environment()
-        ev = env.event()
-        with pytest.raises(SimulationError):
-            env.run(until=ev)
-
-    def test_run_until_failed_event_raises_its_exception(self):
-        env = Environment()
-        ev = env.event()
-        env.call_in(1, ev.fail, ValueError("boom"))
-        with pytest.raises(ValueError, match="boom"):
-            env.run(until=ev)
-
-    def test_step_on_empty_raises(self):
-        with pytest.raises(SimulationError):
-            Environment().step()
-
     def test_processed_count_increments(self):
         env = Environment()
         for _ in range(4):
@@ -216,6 +194,34 @@ class TestRun:
         env.cancel(t)
         env.run()
         assert env.processed_count == 1
+
+
+class TestHookItem:
+    """A hook sees each entry's call: ``perfbench/ledger.py`` and the
+    liveness tests key on ``item.fn``."""
+
+    @pytest.mark.parametrize("delay", [2, Fraction(5, 2)])
+    def test_item_carries_callback_and_args(self, delay):
+        env = Environment()
+        seen = []
+        env.trace_hook = lambda time, item: seen.append(
+            (time, item.fn, item.args, item.seq))
+        out = []
+        env.call_in(delay, out.append, "x")
+        env.call_in(1, out.append, "y")
+        env.run()
+        assert seen == [(1, out.append, ("y",), 2),
+                        (delay, out.append, ("x",), 1)]
+        assert out == ["y", "x"]
+
+    def test_cancelled_entries_are_not_seen(self):
+        env = Environment()
+        seen = []
+        env.trace_hook = lambda time, item: seen.append(item.args)
+        env.cancel(env.call_in(1, print, "dead"))
+        env.call_in(2, lambda *a: None, "live")
+        env.run()
+        assert seen == [("live",)]
 
 
 class TestDeterminism:

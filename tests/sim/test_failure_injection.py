@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 
 class TestTimerFailures:
@@ -32,76 +31,3 @@ class TestTimerFailures:
             env.run()
         env.run()  # resume past the failure
         assert ran == ["later"]
-
-
-class TestProcessFailures:
-    def test_unwaited_process_failure_propagates(self):
-        env = Environment()
-
-        def crasher(env):
-            yield env.timeout(2)
-            raise KeyError("lost")
-
-        env.process(crasher(env))
-        with pytest.raises(KeyError):
-            env.run()
-
-    def test_waited_process_failure_consumed_by_waiter(self):
-        env = Environment()
-        caught = []
-
-        def crasher(env):
-            yield env.timeout(2)
-            raise KeyError("handled")
-
-        def guardian(env):
-            try:
-                yield env.process(crasher(env))
-            except KeyError as exc:
-                caught.append(str(exc))
-
-        env.process(guardian(env))
-        env.run()
-        assert caught == ["'handled'"]
-
-    def test_generator_cleanup_error_propagates(self):
-        env = Environment()
-
-        def crasher(env):
-            raise ZeroDivisionError("before first yield")
-            yield  # pragma: no cover
-
-        env.process(crasher(env))
-        with pytest.raises(ZeroDivisionError):
-            env.run()
-
-
-class TestStoreMisuse:
-    def test_pending_get_at_exhaustion_is_not_an_error(self):
-        """A consumer left waiting when the calendar drains is a deadlock
-        the caller can inspect, not a crash."""
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            got.append((yield store.get()))
-
-        proc = env.process(consumer(env))
-        env.run()
-        assert got == []
-        assert proc.is_alive  # visibly stuck, diagnosable
-
-    def test_events_after_resume(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            got.append((yield store.get()))
-
-        env.process(consumer(env))
-        env.run()
-        store.put("late delivery")
-        env.run()
-        assert got == ["late delivery"]

@@ -9,9 +9,6 @@ crucially — that compaction never changes what runs when.
 
 from fractions import Fraction
 
-import pytest
-
-from repro.errors import SimulationError
 from repro.sim import Environment
 from repro.sim.core import _COMPACT_MIN
 
@@ -54,13 +51,16 @@ class TestCancelBookkeeping:
         assert env.peek() == 2
         assert not env._dead  # peek discarded the dead entry
 
-    def test_step_skips_tombstones(self):
+    def test_run_skips_tombstones(self):
         env = Environment()
         env.cancel(env.call_in(1, lambda: None))
         out = []
         env.call_in(2, out.append, "live")
-        env.step()
+        env.run(until=3)
         assert out == ["live"]
+        # Counted: the live entry and the run(until=3) stop, not the
+        # tombstone.
+        assert env.processed_count == 2
         assert not env._dead
 
     def test_cancel_marks_the_seq_dead(self):
@@ -150,31 +150,3 @@ class TestCompaction:
                 keep.append(i)
         env.run()
         assert fired == keep
-
-
-class TestRunMirrorsStep:
-    """The inlined run() loop and step() must dispatch identically."""
-
-    def _drive(self, use_step: bool):
-        env = Environment()
-        out = []
-        env.call_in(1, out.append, "t1")
-        env.call_in(2, out.append, "t2")
-        env.call_in(1, out.append, "t1b")
-        env.timeout(1, "ev").callbacks.append(lambda e: out.append(e.value))
-        cancelled = env.call_in(1, out.append, "never")
-        env.cancel(cancelled)
-        if use_step:
-            while not env.is_empty():
-                env.step()
-        else:
-            env.run()
-        return out, env.processed_count, env.now
-
-    def test_identical_dispatch(self):
-        assert self._drive(use_step=True) == self._drive(use_step=False)
-
-    def test_step_on_empty_calendar_raises(self):
-        env = Environment()
-        with pytest.raises(SimulationError, match="empty calendar"):
-            env.step()

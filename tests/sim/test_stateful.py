@@ -2,8 +2,8 @@
 
 A hypothesis state machine schedules, cancels and runs timers in random
 interleavings — double cancels, cancels after firing, bulk cancels that
-cross the compaction threshold, and ``step()`` mixed with
-``run(until=...)`` — and checks the kernel's core contract: every
+cross the compaction threshold, and short ``run(until=...)`` hops mixed
+with full runs — and checks the kernel's core contract: every
 non-cancelled timer fires exactly once, at its due time, in nondecreasing
 time order, FIFO at ties, and the clock never moves backwards.
 """
@@ -91,13 +91,15 @@ class CalendarMachine(RuleBasedStateMachine):
 
     @rule(steps=st.integers(1, 5))
     def run_some(self, steps):
+        """Advance to just past the next due time, ``steps`` times: each
+        hop runs every entry due at that instant."""
         for _ in range(steps):
             if self.env.is_empty():
                 break
-            self.env.step()
+            self.env.run(until=self.env.peek() + 1)
 
     @rule(span=st.integers(0, 30), steps=st.integers(1, 3))
-    def run_until_then_step(self, span, steps):
+    def run_until_then_hop(self, span, steps):
         until = self.env.now + span
         self.env.run(until=until)
         assert self.env.now == until

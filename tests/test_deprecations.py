@@ -1,21 +1,20 @@
-"""Back-compat guarantees for the API redesign.
+"""Back-compat guarantees of the API redesign.
 
-Two contracts:
-
-* every name importable from ``repro`` before the redesign still imports
-  (plus the newly exported fault/recovery surface), and
-* the old experiment spellings (``fig7.run(num_tasks)``,
-  ``overlay_strategies(graphs=...)``) keep working — they warn, not break.
+Every name importable from ``repro`` before the redesign still imports, as
+does the surface the redesign consolidated into the lazy-export table, and
+``repro.simulate`` accepts a ``Workload`` wherever it accepts a task count.
+The deprecated spellings that used to warn here (the legacy ``simulate``
+argument order, ``repro.simulate_graph``, ``analyze.simulate_tree``,
+``fig7.run(num_tasks)``, ``overlay_strategies(graphs | base_seed)``) are
+gone; the pytest configuration now fails on any ``DeprecationWarning``
+raised from ``repro`` code.
 """
-
-import warnings
 
 import pytest
 
 import repro
-from repro.experiments import ExperimentScale, ablation, fig7
 
-#: The exact public surface of ``repro`` before this redesign.
+#: The exact public surface of ``repro`` before the front-door redesign.
 PRE_REDESIGN_NAMES = [
     "__version__",
     "ReproError", "SimulationError", "PlatformError", "SolverError",
@@ -26,7 +25,7 @@ PRE_REDESIGN_NAMES = [
     "simulate", "ProtocolConfig", "SimulationResult",
 ]
 
-#: Newly consolidated exports (including the PR-1 fault surface).
+#: Names the redesign consolidated into the lazy-export table.
 NEW_NAMES = [
     "Mutation", "MutationSchedule",
     "ChurnSchedule", "JoinEvent", "LeaveEvent",
@@ -36,7 +35,7 @@ NEW_NAMES = [
     "RecoveryReport", "recovery_report", "recovery_latencies",
     "post_recovery_rate", "degraded_windows",
     "ExperimentScale",
-    "simulate_graph", "selfish_rates",
+    "selfish_rates",
     "Application", "Workload", "AppResult", "MultiAppEngine",
     "jain_index", "price_of_anarchy",
 ]
@@ -71,94 +70,14 @@ class TestPublicSurface:
         assert repro.recovery_report is recovery_report
 
 
-class TestFig7Shims:
-    def test_positional_int_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="ExperimentScale"):
-            result = fig7.run(300)
-        assert len(result.scenarios) == 3
-
-    def test_num_tasks_keyword_warns_and_matches_new_style(self):
-        with pytest.warns(DeprecationWarning, match="num_tasks"):
-            old = fig7.run(num_tasks=300)
-        new = fig7.run(ExperimentScale(trees=1, tasks=300))
-        assert old == new
-
-    def test_new_style_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            fig7.run(ExperimentScale(trees=1, tasks=300))
-
-
 class TestSimulateFrontDoor:
-    """The unified ``repro.simulate()`` and its legacy-shape shims."""
-
-    def _tree(self):
+    def test_workload_object_matches_int(self):
         from repro.platform.generator import TreeGeneratorParams, generate_tree
 
-        return generate_tree(TreeGeneratorParams(min_nodes=12, max_nodes=18),
+        tree = generate_tree(TreeGeneratorParams(min_nodes=12, max_nodes=18),
                              seed=4)
-
-    def test_legacy_argument_order_warns_and_matches(self):
-        tree = self._tree()
-        config = repro.ProtocolConfig.interruptible(3)
-        new = repro.simulate(tree, 200, config).fingerprint()
-        with pytest.warns(DeprecationWarning, match="simulate"):
-            old = repro.simulate(tree, config, 200).fingerprint()
-        assert old == new
-
-    def test_workload_object_matches_int(self):
-        tree = self._tree()
         config = repro.ProtocolConfig.interruptible(3)
         via_int = repro.simulate(tree, 200, config).fingerprint()
         via_workload = repro.simulate(
             tree, repro.Workload(tasks=200), config).fingerprint()
         assert via_int == via_workload
-
-    def test_simulate_graph_shim_warns_and_matches(self):
-        from repro.platform.graph import generate_platform
-
-        graph = generate_platform("star", seed=3)
-        config = repro.ProtocolConfig.interruptible(3)
-        new = repro.simulate(graph, 150, config).fingerprint()
-        with pytest.warns(DeprecationWarning, match="simulate_graph"):
-            old = repro.simulate_graph(graph, config, 150).fingerprint()
-        assert old == new
-
-    def test_analyze_simulate_tree_shim_warns_and_matches(self):
-        from repro.experiments.analyze import simulate_tree, simulation_report
-
-        tree = self._tree()
-        new = simulation_report(tree, "ic3", 150)
-        with pytest.warns(DeprecationWarning, match="simulation_report"):
-            old = simulate_tree(tree, "ic3", 150)
-        assert old == new
-
-    def test_new_style_does_not_warn(self):
-        tree = self._tree()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            repro.simulate(tree, 100, repro.ProtocolConfig.interruptible(3))
-
-
-class TestOverlayShims:
-    def test_positional_int_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="graph count"):
-            result = ablation.overlay_strategies(2, hosts=10)
-        assert result.graphs == 2
-
-    def test_graphs_keyword_warns_and_matches_new_style(self):
-        with pytest.warns(DeprecationWarning, match="graphs"):
-            old = ablation.overlay_strategies(graphs=2, hosts=10)
-        new = ablation.overlay_strategies(
-            ExperimentScale(trees=2, tasks=2), hosts=10)
-        assert old == new
-
-    def test_base_seed_keyword_warns(self):
-        with pytest.warns(DeprecationWarning, match="base_seed"):
-            ablation.overlay_strategies(2, hosts=10, base_seed=5)
-
-    def test_new_style_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ablation.overlay_strategies(
-                ExperimentScale(trees=2, tasks=2), hosts=10)

@@ -100,40 +100,23 @@ class TestReporting:
         assert fmt_opt(7) == "7"
 
 
-class TestConditionEdgeCases:
-    def test_condition_over_already_failed_processed_child(self):
-        from repro.sim import AllOf, Environment
-
-        env = Environment()
-        bad = env.event()
-        bad.fail(RuntimeError("early"))
-        bad.defused = True
-        env.run()  # bad is now processed
-        cond = AllOf(env, [bad, env.timeout(1)])
-        with pytest.raises(RuntimeError, match="early"):
-            env.run(until=cond)
-
-    def test_run_until_already_processed_event(self):
-        from repro.sim import Environment
-
-        env = Environment()
-        ev = env.event()
-        ev.succeed("done")
-        env.run()
-        assert env.run(until=ev) == "done"  # returns immediately
-
-
 class TestSimExports:
-    """The kernel's public surface: calendar entries are the handles, so
-    there is no timer class to export."""
+    """The kernel's public surface is the calendar alone: calendar entries
+    are the handles, so there is no timer class, and no coroutine layer."""
 
     def test_kernel_exports(self):
         import repro.sim as sim
 
-        assert "Timer" not in sim.__all__
+        assert sim.__all__ == ["Environment", "Infinity"]
         assert not hasattr(sim, "Timer")
-        for name in sim.__all__:
-            assert getattr(sim, name) is not None
+
+    def test_import_loads_only_the_calendar(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.sim; print(sorted(m for m in sys.modules "
+             "if m.startswith('repro.sim')))"],
+            capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "['repro.sim', 'repro.sim.core']"
 
     def test_handle_api(self):
         from repro.sim import Environment
