@@ -5,8 +5,9 @@ Two suites:
 * ``kernel`` — the micro-workloads from ``workloads.py`` plus the
   protocol-engine runs and the contention-churn pair, reported as
   units/sec (events, tasks, or solver ops).
-* ``sweep``  — end-to-end figure experiments at smoke scale (fig4, fig7,
-  fault recovery), reported as tasks/sec and wall seconds per figure.
+* ``sweep``  — end-to-end figure experiments at smoke scale (fig4 on trees
+  and on leaf-spine fabrics, fig7, fault recovery), reported as tasks/sec
+  and wall seconds per figure.
 
 ``--json OUT`` writes the committed ``BENCH_kernel.json`` /
 ``BENCH_sweep.json`` trajectory files.  ``--check BASELINE`` compares the
@@ -25,6 +26,9 @@ and isolates genuine kernel regressions.  When a record has to be re-based
 by hand (say, one workload changed and the rest of the baseline must stay),
 normalise it against ``timer_storm`` alone: it is the one kernel
 micro-workload, and it times nothing but the calendar's dispatch path.
+A whole re-base can take the per-record median of several runs on one
+host, each normalized by its own calibration: on a shared host one run
+alone can catch a record at an outlying speed.
 """
 
 import argparse
@@ -184,10 +188,25 @@ def _sweep_faults():
     return scale.trees * scale.tasks
 
 
+def _sweep_fig4_leafspine():
+    from dataclasses import replace
+
+    from repro.experiments import ExperimentScale, fig4
+    from repro.experiments.fig4 import FIG4_CONFIGS
+
+    # The routed path at figure level: leaf-spine fabrics through the
+    # graph engine and the contention solver.  Three fabrics keep one
+    # run at a few seconds (the smoke scale's twenty take about 15 s).
+    scale = replace(ExperimentScale.smoke(), trees=3, topology="leafspine")
+    fig4.run(scale)
+    return scale.trees * scale.tasks * len(FIG4_CONFIGS)
+
+
 SWEEP_WORKLOADS = [
     ("fig4_smoke", _sweep_fig4),
     ("fig7_smoke", _sweep_fig7),
     ("faults_smoke", _sweep_faults),
+    ("fig4_leafspine_smoke", _sweep_fig4_leafspine),
 ]
 
 

@@ -35,7 +35,9 @@ first, all provably bit-identical to the reference allocators:
    decomposes over components (a bottleneck level in one component never
    references capacities or counts of another), so flows outside the
    dirty region keep their cached rates exactly.  A lone flow on
-   otherwise-idle links short-circuits to ``min(capacity)``.
+   otherwise-idle links short-circuits to ``min(capacity)``, and a
+   component of one or two flows — every component on leaf-spine runs
+   — settles directly, without the closure walk.
 2. **Memoization** — solve results are cached under the *frozen flow-set
    signature*: the multiset of (priority class, deduped route) pairs plus
    the region's link capacities.  Flows with identical routes are
@@ -381,12 +383,12 @@ class LinkContention:
     """
 
     __slots__ = ("capacities", "mode", "incremental", "_selfish", "_flows",
-                 "_priorities", "_link_flows", "_memo", "_scales",
+                 "_priorities", "_link_flows", "_memo", "_pairs", "_scales",
                  "_routes", "_flow_seq", "reallocations",
                  "rate_changes", "settles_full", "settles_incremental",
                  "solves_trivial", "solves_int", "solves_fraction",
                  "memo_hits", "memo_evictions", "dirty_flows",
-                 "dirty_links")
+                 "dirty_links", "settles_direct")
 
     def __init__(self, capacities: Mapping[int, Fraction],
                  mode: str = "maxmin", *, incremental: bool = True):
@@ -405,6 +407,11 @@ class LinkContention:
         #: frozen flow-set signature → {tag: rate} (valid for the current
         #: capacity epoch; cleared wholesale by :meth:`set_capacity`).
         self._memo: Dict[tuple, Dict[object, Fraction]] = {}
+        #: (older flow's links, newer flow's links) → their two rates, for
+        #: the two-flow components ``start`` settles directly.  Every
+        #: entry mirrors one in ``_memo`` (the two are cleared together),
+        #: so a hit here is exactly a memo hit there.
+        self._pairs: Dict[tuple, tuple] = {}
         #: region links tuple → (scale, int caps), cached per epoch.
         self._scales: Dict[tuple, tuple] = {}
         #: route → (deduped sorted links, min capacity), cached per epoch.
@@ -421,6 +428,7 @@ class LinkContention:
         self.memo_evictions = 0
         self.dirty_flows = 0        # cumulative dirty-set sizes
         self.dirty_links = 0
+        self.settles_direct = 0     # one/two-flow settles without _settle
 
     def __len__(self) -> int:
         return len(self._flows)
@@ -446,6 +454,7 @@ class LinkContention:
             "memo_size": len(self._memo),
             "dirty_flows": self.dirty_flows,
             "dirty_links": self.dirty_links,
+            "settles_direct": self.settles_direct,
         }
 
     def remaining_volume(self, fid: FlowId, now):
@@ -474,28 +483,46 @@ class LinkContention:
         flow = _Flow(route, links, volume, _ZERO, now, seq)
         self._flows[fid] = flow
         link_flows = self._link_flows
+        # The flows already on our links: ``partner`` while every shared
+        # link carries that one flow alone, ``None`` once one carries
+        # another (``shared`` tells that apart from no flow at all).
+        # Found in the registration pass: start and finish are the
+        # hottest calls of a routed run.
+        partner = None
         shared = False
         for link in links:
             crossing = link_flows.get(link)
             if crossing is None:
                 link_flows[link] = {fid: None}
-            else:
-                crossing[fid] = None
-                shared = True
+                continue
+            if len(crossing) != 1:
+                partner = None
+            elif not shared:
+                (partner,) = crossing
+            elif partner is not None and partner not in crossing:
+                partner = None
+            shared = True
+            crossing[fid] = None
         if priority is not None:
             self._priorities[fid] = priority
-        if self.incremental and not shared:
-            # Exclusive links: the flow is alone in its component, so its
-            # rate is min(cap) under every allocator and nobody else moves
-            # — skip the closure/solve machinery entirely.
-            self.reallocations += 1
-            self.settles_incremental += 1
-            self.solves_trivial += 1
-            self.dirty_flows += 1
-            self.dirty_links += len(links)
-            flow.rate = floor
-            return [(fid, floor, _exact(flow.volume))]
-        updates = self._settle(links, now)
+        updates = None
+        if self.incremental:
+            if not shared:
+                # Exclusive links: the flow is alone in its component, so
+                # its rate is min(cap) under every allocator and nobody
+                # else moves — skip the closure/solve machinery entirely.
+                self.reallocations += 1
+                self.settles_incremental += 1
+                self.solves_trivial += 1
+                self.settles_direct += 1
+                self.dirty_flows += 1
+                self.dirty_links += len(links)
+                flow.rate = floor
+                return [(fid, floor, _exact(flow.volume))]
+            if partner is not None and not self._selfish:
+                updates = self._settle_pair(partner, fid, now)
+        if updates is None:
+            updates = self._settle(links, now)
         if all(u[0] != fid for u in updates):
             updates.append((fid, flow.rate, _exact(flow.volume)))
         return updates
@@ -509,11 +536,25 @@ class LinkContention:
         self._unlink(fid, flow)
         links = flow.links
         if self.incremental:
+            # The flows left on the departed flow's links: ``survivor``
+            # while each such link carries that one flow alone.
             link_flows = self._link_flows
+            survivor = None
+            shared = False
+            freed = 0  # links nobody crosses any more
             for link in links:
-                if link in link_flows:
-                    break
-            else:
+                crossing = link_flows.get(link)
+                if crossing is None:
+                    freed += 1
+                elif len(crossing) != 1:
+                    survivor = None
+                    shared = True
+                elif not shared:
+                    (survivor,) = crossing
+                    shared = True
+                elif survivor is not None and survivor not in crossing:
+                    survivor = None
+            if not shared:
                 # The departed flow had its links to itself: the dirty
                 # region is empty and nobody's rate can change.  Counter
                 # bookkeeping matches what _settle would have recorded.
@@ -521,6 +562,10 @@ class LinkContention:
                 if self._flows:
                     self.dirty_links += len(links)
                 return []
+            if survivor is not None:
+                updates = self._settle_alone(survivor, freed, now)
+                if updates is not None:
+                    return updates
         return self._settle(links, now)
 
     def pause(self, fid: FlowId, now):
@@ -566,6 +611,7 @@ class LinkContention:
         # capacity may also carry a new denominator), so both caches are
         # dropped wholesale and rebuilt lazily by the next solves.
         self._memo.clear()
+        self._pairs.clear()
         self._scales.clear()
         self._routes.clear()
         return self._settle((link,), now)
@@ -594,6 +640,95 @@ class LinkContention:
             del crossing[fid]
             if not crossing:
                 del link_flows[link]
+
+    def _settle_pair(self, older: FlowId, fid: FlowId,
+                     now) -> Optional[list]:
+        """Settle a new flow whose links carry just one older flow.
+
+        When the older flow's own links carry nothing else, the two form
+        a whole component: ``_settle`` would find exactly them, in
+        ``(older, new)`` order, and solve their signature.  This reads
+        the two rates from the pair memo instead (a miss goes through
+        ``_solve``), and keeps every counter as ``_settle`` would.
+        Returns ``None`` when the component is larger.
+        """
+        flows = self._flows
+        link_flows = self._link_flows
+        partner = flows[older]
+        flow = flows[fid]
+        links = flow.links
+        alone = 0  # the older flow's links that the new one does not share
+        for link in partner.links:
+            crossing = link_flows[link]
+            if len(crossing) == 1:
+                alone += 1
+            elif len(crossing) != 2 or fid not in crossing:
+                return None
+        self.reallocations += 1
+        self.settles_direct += 1
+        self.dirty_flows += 2
+        self.dirty_links += len(links) + alone
+        if len(flows) == 2:
+            self.settles_full += 1
+        else:
+            self.settles_incremental += 1
+        key = (partner.links, links)
+        rates = self._pairs.get(key)
+        if rates is None:
+            solved = self._solve([older, fid])
+            rates = self._pairs[key] = (solved[older], solved[fid])
+        else:
+            self.memo_hits += 1
+        # The settle loop of ``_settle``, unrolled for the two flows (the
+        # new one has rate 0 and nothing drained yet).
+        updates = []
+        rate = rates[0]
+        if not (rate is partner.rate or rate == partner.rate):
+            if partner.rate:  # settle progress made at the old rate
+                partner.volume = _drain(partner.volume, partner.rate, now,
+                                        partner.since)
+                self.rate_changes += 1
+            partner.rate = rate
+            partner.since = now
+            updates.append((older, rate, _exact(partner.volume)))
+        rate = rates[1]
+        if not (rate is flow.rate or rate == flow.rate):
+            flow.rate = rate
+            updates.append((fid, rate, _exact(flow.volume)))
+        return updates
+
+    def _settle_alone(self, fid: FlowId, freed: int, now) -> Optional[list]:
+        """Settle the one flow left on a departed flow's links.
+
+        When it is alone on every one of its links it is a whole
+        component, and its rate is its route floor — what ``_settle``
+        and ``_solve`` would give it, counters included (``freed`` is
+        the number of the departed flow's links left empty).  Returns
+        ``None`` when it still shares a link.
+        """
+        flow = self._flows[fid]
+        link_flows = self._link_flows
+        for link in flow.links:
+            if len(link_flows[link]) != 1:
+                return None
+        self.reallocations += 1
+        self.settles_direct += 1
+        self.solves_trivial += 1
+        self.dirty_flows += 1
+        self.dirty_links += len(flow.links) + freed
+        if len(self._flows) == 1:
+            self.settles_full += 1
+        else:
+            self.settles_incremental += 1
+        rate = self._route_entry(flow.route)[1]
+        if rate is flow.rate or rate == flow.rate:
+            return []
+        if flow.rate:  # settle progress made at the old rate
+            flow.volume = _drain(flow.volume, flow.rate, now, flow.since)
+            self.rate_changes += 1
+        flow.rate = rate
+        flow.since = now
+        return [(fid, rate, _exact(flow.volume))]
 
     def _closure(self, seeds) -> set:
         """Flows in the connected sharing components touching ``seeds``.
@@ -740,6 +875,7 @@ class LinkContention:
 
         if len(self._memo) >= _MEMO_LIMIT:
             self._memo.clear()
+            self._pairs.clear()
             self.memo_evictions += 1
         self._memo[signature] = {tag: rates[fid]
                                  for fid, tag in zip(ordered, tagged)}

@@ -103,7 +103,8 @@ class PlatformGraph:
     """
 
     __slots__ = ("w", "link_u", "link_v", "link_c", "adj", "root",
-                 "contention", "meta", "_route_cache", "link_up", "_degrade")
+                 "contention", "meta", "_route_cache", "_route_patch",
+                 "route_changes", "link_up", "_degrade")
 
     def __init__(self, w: Sequence[Optional[Weight]],
                  links: Iterable[Tuple[int, int, Weight]], root: int = 0,
@@ -135,7 +136,17 @@ class PlatformGraph:
         self.root = root
         self.contention = contention
         self.meta: Dict[str, Any] = dict(meta) if meta else {}
+        #: source → its shortest-path tree ``(prev_node, prev_link)``,
+        #: exact for the current link state.
         self._route_cache: Dict[int, Tuple[list, list]] = {}
+        #: source → ``(tree, cut)``: a tree a fault cut, exact outside the
+        #: ``cut`` node set, which its next lookup searches again.
+        self._route_patch: Dict[int, Tuple[tuple, set]] = {}
+        #: What the last fault method did to the route trees: ``{source:
+        #: nodes whose route from that source may have changed}``, or
+        #: ``None`` for a tree dropped whole (every route may differ).
+        #: Sources with no tree built yet are not listed.
+        self.route_changes: Dict[int, Optional[frozenset]] = {}
         self._degrade: Dict[int, Fraction] = {}
 
         for u, v, cost in links:
@@ -228,6 +239,12 @@ class PlatformGraph:
         cached = self._route_cache.get(src)
         if cached is not None:
             return cached
+        patch = self._route_patch.pop(src, None)
+        if patch is not None:
+            tree, cut = patch
+            self._research(src, tree, cut)
+            self._route_cache[src] = tree
+            return tree
         n = self.num_nodes
         adj = self.adj
         link_up = self.link_up
@@ -252,8 +269,9 @@ class PlatformGraph:
                     prev_node[v] = u
                     prev_link[v] = link
                     heapq.heappush(heap, (key[0], key[1], v))
-        self._route_cache[src] = (prev_node, prev_link)
-        return prev_node, prev_link
+        tree = (prev_node, prev_link)
+        self._route_cache[src] = tree
+        return tree
 
     def _path_key(self, src: int, tree: Tuple[list, list],
                   node: int) -> Optional[Tuple[Weight, int]]:
@@ -436,42 +454,69 @@ class PlatformGraph:
             raise PlatformError(f"link cost must be > 0, got {cost!r}")
         self.link_c[link_id] = cost
         self._route_cache.clear()
+        self._route_patch.clear()
 
     # --------------------------------------------------------------- faults
     def fail_link(self, link_id: int) -> None:
         """Take link ``link_id`` down.
 
-        Only the cached shortest-path trees that route over the link are
-        dropped (they recompute on next lookup).  Every other tree stays
-        exact: removing a link outside a tree changes no node's ``(cost,
-        hops)`` key and no pop order, so every ``prev`` is unchanged.
+        Cached shortest-path trees are patched, not dropped (see
+        :meth:`_cut_trees`): only the subtree the link cut off is
+        searched again, on the tree's next lookup.  Every other node
+        keeps its ``prev``: removing a link outside a node's tree path
+        changes no ``(cost, hops)`` key and no pop order.  The patched
+        trees and nodes land in :attr:`route_changes`.
         """
         if not 0 <= link_id < self.num_links:
             raise PlatformError(f"no link {link_id}")
         if not self.link_up[link_id]:
             raise PlatformError(f"link {link_id} is already down")
         self.link_up[link_id] = False
-        self._drop_trees_using({link_id})
+        self.route_changes = self._cut_trees((link_id,))
 
     def repair_link(self, link_id: int) -> None:
         """Bring link ``link_id`` back up.
 
-        A source's cached tree is dropped only if the link ties or
-        improves either endpoint's ``(cost, hops)`` key, or joins a
-        reachable endpoint to an unreachable one.  A link strictly worse
-        for both endpoints (or between two unreachable ones) attains no
-        node's key, so that tree survives unchanged.
+        When the link is one endpoint's only link (a host's access link
+        on a leaf-spine fabric), that endpoint was unreachable from every
+        other source and the link is its one way in: each cached tree
+        attaches it in place below the other endpoint, and no other
+        node's route can pass through it.  Otherwise a source's tree is
+        dropped only if the link ties or improves either endpoint's
+        ``(cost, hops)`` key, or joins a reachable endpoint to an
+        unreachable one.  A link strictly worse for both endpoints (or
+        between two unreachable ones) attains no node's key, so that
+        tree survives unchanged.  Both rules read exact trees, so a patch
+        a failure left pending is finished first.  The attached and
+        dropped trees land in :attr:`route_changes`.
         """
         if not 0 <= link_id < self.num_links:
             raise PlatformError(f"no link {link_id}")
         if self.link_up[link_id]:
             raise PlatformError(f"link {link_id} is already up")
         self.link_up[link_id] = True
+        for src in list(self._route_patch):
+            self._shortest_from(src)
         u, v = self.link_u[link_id], self.link_v[link_id]
         cost = self.link_c[link_id]
+        adj = self.adj
         cache = self._route_cache
-        stale = []
-        for src, tree in cache.items():
+        changes: Dict[int, Optional[frozenset]] = {}
+        for src, tree in list(cache.items()):
+            # The endpoint the link is the only way into (none if both
+            # have other links, or if only the source itself does).
+            if len(adj[v]) == 1 and v != src:
+                end, near = v, u
+            elif len(adj[u]) == 1 and u != src:
+                end, near = u, v
+            else:
+                end = None
+            if end is not None:
+                if near == src or tree[0][near] is not None:
+                    tree[0][end] = near
+                    tree[1][end] = link_id
+                    changes[src] = frozenset((end,))
+                continue
             key_u = self._path_key(src, tree, u)
             key_v = self._path_key(src, tree, v)
             if key_u is None and key_v is None:
@@ -479,16 +524,16 @@ class PlatformGraph:
             if (key_u is None or key_v is None
                     or (key_u[0] + cost, key_u[1] + 1) <= key_v
                     or (key_v[0] + cost, key_v[1] + 1) <= key_u):
-                stale.append(src)
-        for src in stale:
-            del cache[src]
+                del cache[src]
+                changes[src] = None
+        self.route_changes = changes
 
     def crash_node(self, node: int) -> List[int]:
         """Permanently down every link incident to ``node`` (a crashed
         host or switch).  Returns the newly-downed link ids, ascending.
 
-        As for :meth:`fail_link`, only cached trees routing over a downed
-        link are dropped.
+        As for :meth:`fail_link`, cached trees are patched only below the
+        downed links.
         """
         if not 0 <= node < self.num_nodes:
             raise PlatformError(f"no node {node}")
@@ -497,18 +542,112 @@ class PlatformGraph:
             if self.link_up[link_id]:
                 self.link_up[link_id] = False
                 downed.append(link_id)
-        if downed:
-            self._drop_trees_using(set(downed))
+        self.route_changes = self._cut_trees(downed) if downed else {}
         return downed
 
-    def _drop_trees_using(self, links: set) -> None:
-        """Forget the cached shortest-path trees whose ``prev_link``
-        crosses any of ``links``."""
+    def _cut_trees(self, downed: Sequence[int]
+                   ) -> Dict[int, Optional[frozenset]]:
+        """Mark, in every cached tree, the subtree the ``downed`` links
+        cut off; returns ``{source: cut nodes}`` for the trees they cut.
+
+        A cut node's route from the source crossed a downed link.  Every
+        other node keeps an exact ``prev``, so only the cut nodes need a
+        new search, seeded from the intact nodes around them
+        (:meth:`_research`).  When no up link leaves the cut at all — a
+        host behind its failed access link, or a crashed host's own
+        tree — its nodes are simply unreachable and no search runs.
+        Otherwise the tree waits in ``_route_patch`` until its next
+        lookup; a tree already waiting there grows its cut, and is
+        reported whole whenever a downed link touches it (the pending
+        search would have used the link).
+        """
+        link_u, link_v = self.link_u, self.link_v
+        adj = self.adj
+        link_up = self.link_up
         cache = self._route_cache
-        stale = [src for src, (_prev, prev_link) in cache.items()
-                 if not links.isdisjoint(prev_link)]
-        for src in stale:
-            del cache[src]
+        pending = self._route_patch
+        changes: Dict[int, Optional[frozenset]] = {}
+        for src in list(cache) + list(pending):
+            tree, cut = (cache[src], set()) if src in cache else pending[src]
+            prev_node, prev_link = tree
+            roots = []
+            touched = False  # a downed link reaches into a pending cut
+            for link in downed:
+                for node in (link_u[link], link_v[link]):
+                    if node in cut:
+                        touched = True
+                    elif prev_link[node] == link:
+                        roots.append(node)
+            if not roots and not touched:
+                continue
+            children = None
+            stack = roots
+            while stack:
+                node = stack.pop()
+                cut.add(node)
+                if len(adj[node]) > 1:  # a one-link node has no children
+                    if children is None:
+                        children = [[] for _ in prev_node]
+                        for child, parent in enumerate(prev_node):
+                            if parent is not None:
+                                children[parent].append(child)
+                    stack.extend(c for c in children[node] if c not in cut)
+            changes[src] = frozenset(cut)
+            frontier = any(
+                link_up[link] and nbr not in cut
+                and (nbr == src or prev_node[nbr] is not None)
+                for node in cut for nbr, link in adj[node].items())
+            if frontier:
+                cache.pop(src, None)
+                pending[src] = (tree, cut)
+            else:
+                for node in cut:
+                    prev_node[node] = prev_link[node] = None
+                pending.pop(src, None)
+                cache[src] = tree
+        return changes
+
+    def _research(self, src: int, tree: Tuple[list, list],
+                  cut: set) -> None:
+        """Re-run the search of :meth:`_shortest_from` for the ``cut``
+        nodes only, in place.
+
+        Every node outside the cut holds its exact key (read off its
+        intact ``prev`` chain), so it enters the heap once, at that key,
+        and relaxes only its cut neighbours: the cut nodes see exactly
+        the relaxations, in exactly the ``(cost, hops, id)`` pop order,
+        that a search from scratch would make, and so take the same
+        first-popped ``prev``.
+        """
+        prev_node, prev_link = tree
+        adj = self.adj
+        link_up = self.link_up
+        link_c = self.link_c
+        for node in cut:
+            prev_node[node] = prev_link[node] = None
+        frontier = {nbr for node in cut for nbr, link in adj[node].items()
+                    if link_up[link] and nbr not in cut
+                    and (nbr == src or prev_node[nbr] is not None)}
+        heap = [self._path_key(src, tree, u) + (u,) for u in frontier]
+        heapq.heapify(heap)
+        dist: Dict[int, Tuple[Weight, int]] = {}
+        done = set()
+        while heap:
+            d, hops, u = heapq.heappop(heap)
+            if u in cut:
+                if u in done:
+                    continue
+                done.add(u)
+            for v, link in adj[u].items():  # ascending neighbour ids
+                if v not in cut or v in done or not link_up[link]:
+                    continue
+                key = (d + link_c[link], hops + 1)
+                best = dist.get(v)
+                if best is None or key < best:
+                    dist[v] = key
+                    prev_node[v] = u
+                    prev_link[v] = link
+                    heapq.heappush(heap, (key[0], key[1], v))
 
     def set_degrade(self, link_id: int, factor: Optional[Fraction]) -> None:
         """Apply (or with ``None`` clear) a bandwidth-degrade factor on
@@ -542,6 +681,8 @@ class PlatformGraph:
         clone.contention = self.contention
         clone.meta = dict(self.meta)
         clone._route_cache = {}
+        clone._route_patch = {}
+        clone.route_changes = {}
         clone.link_up = list(self.link_up)
         clone._degrade = dict(self._degrade)
         return clone

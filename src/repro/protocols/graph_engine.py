@@ -25,9 +25,11 @@ anchor for everything else this engine does, and is enforced by
 ``tests/protocols/test_graph_equivalence.py`` plus the CI
 topology-equivalence job.
 
-Dynamic platform schedules (mutations, churn, faults) and the
-steady-state warp are tree-engine features; the graph engine rejects the
-former and stands the warp down.
+Fault schedules run as *routed* faults through :class:`GraphFaultDriver`
+(failed links kill the flows crossing them, routes recompute around the
+damage, unreachable hosts park).  The other dynamic platform schedules,
+mutations and churn, are tree-engine features the graph engine does not
+accept, and the steady-state warp stands down on graphs.
 """
 
 from __future__ import annotations
@@ -95,13 +97,18 @@ class GraphNodeAgent(NodeAgent):
             return
         engine = self.engine
         env = self.env
-        if engine.contention.remaining_volume(current, env.now) <= 0:
+        timer = current.timer
+        if timer is not None and (timer[0] if timer.__class__ is tuple
+                                  else timer.time) == env.now:
             # The flow's completion timer is due this very timestep (it
             # just has a later calendar sequence number): let it finish.
+            # The timer sits at the flow's exact finish time, so this is
+            # the zero-remaining-volume test; a starved flow has no timer
+            # and volume left.
             return
         remaining, updates = engine.contention.pause(current, env.now)
-        if current.timer is not None:  # a starved flow stalls timer-less
-            env.cancel(current.timer)
+        if timer is not None:  # a starved flow stalls timer-less
+            env.cancel(timer)
         current.remaining = remaining
         current.started_at = None
         current.timer = None
@@ -165,6 +172,9 @@ class GraphFaultDriver:
         self.lanes: List["GraphProtocolEngine"] = []
         self.env = None
         self._armed = False
+        #: Whether every agent's route is its parent's current tree path
+        #: (set by the first, full refresh; kept by the scoped ones).
+        self._routes_synced = False
         #: graph host id -> overlay node id (= agent index in every lane).
         self._oid: Dict[int, int] = {h: i
                                      for i, h in enumerate(overlay.hosts)}
@@ -245,6 +255,7 @@ class GraphFaultDriver:
                    if lane.nodes[oid].alive]
         downed = self.graph.crash_node(host)
         self._kill_crossing(downed, dying=set(victims))
+        reparented: Set[int] = set()
         for victim in victims:
             lane = victim.engine
             parent = victim.parent
@@ -277,6 +288,7 @@ class GraphFaultDriver:
             # re-parent them (leaf-spine racks re-elect a head).
             orphans = sorted(victim.children, key=lambda a: a.id)
             victim.children = []
+            reparented.update(o.id for o in orphans)
             if orphans:
                 hosts = self.overlay.hosts
                 grandparent = (hosts[parent.id] if parent is not None
@@ -300,7 +312,7 @@ class GraphFaultDriver:
                 # Detached before death (e.g. declared dead while
                 # parked): nobody probes it, surface the loss now.
                 lane._flush_pending_losses(victim)
-        self._refresh_routes()
+        self._refresh_routes(reparented=reparented)
         self._kick()
         self._arm_sweeps()
         self._check()
@@ -355,19 +367,32 @@ class GraphFaultDriver:
         self._apply_updates(updates)
         return killed
 
-    def _refresh_routes(self, peer: Optional[int] = None) -> None:
+    def _refresh_routes(self, peer: Optional[int] = None,
+                        reparented: Set[int] = frozenset()) -> None:
         """Two-phase overlay route refresh against the mutated graph.
 
-        Phase A recomputes every overlay edge's route and cost, parks
-        hosts with no route to their parent (deterministic partition
+        Phase A recomputes overlay edges' routes and costs, parks hosts
+        with no route to their parent (deterministic partition
         detection), and re-sorts schedules whose priorities changed;
         phase B readmits/re-announces unparked hosts.  Splitting the
         phases guarantees no readmission-triggered send can start on a
         route that is still stale.
+
+        The first refresh of a run checks every agent.  From then on an
+        unparked agent's route is its parent's tree path, which the
+        fault can only have changed where the graph's
+        :attr:`~repro.platform.graph.PlatformGraph.route_changes` says
+        so: a refresh checks just the agents behind those nodes, the
+        parked ones, and the ``reparented`` overlay ids (a host crash's
+        orphans).  Every agent it skips would come out unchanged, and
+        the rest are visited in the same (lane, id) order as a full
+        pass, so records and re-sorts are identical.
         """
         graph = self.graph
         hosts = self.overlay.hosts
         now = self.env.now
+        changes = graph.route_changes if self._routes_synced else None
+        self._routes_synced = True
         unparked: List[NodeAgent] = []
         resort: List[NodeAgent] = []
         for lane in self.lanes:
@@ -377,6 +402,11 @@ class GraphFaultDriver:
                 parent = agent.parent
                 if parent is None or not parent.alive:
                     continue
+                if (changes is not None and not agent.link_down
+                        and agent.id not in reparented):
+                    changed = changes.get(hosts[parent.id], ())
+                    if changed is not None and hosts[agent.id] not in changed:
+                        continue
                 route = graph.route_or_none(hosts[parent.id], hosts[agent.id])
                 if route is None:
                     if not agent.link_down:

@@ -283,12 +283,13 @@ class Environment:
                     f"run(until={until!r}) is in the past (now={self._now!r})"
                 )
             self._seq += 1
+            stop_seq = self._seq
             if until.__class__ is int:
                 heappush(self._heap,
-                         (until, URGENT, self._seq, self._stop_at, ()))
+                         (until, URGENT, stop_seq, self._stop_at, ()))
             else:
                 heappush(self._heap,
-                         _Entry(until, URGENT, self._seq, self._stop_at, ()))
+                         _Entry(until, URGENT, stop_seq, self._stop_at, ()))
 
         # The event loop proper, in one tight loop with the heap, the dead
         # set and ``heappop`` bound to locals: per-entry attribute loads
@@ -318,6 +319,12 @@ class Environment:
                 fn(*args)
         except _StopRun:
             return
+        except BaseException:
+            if until is not None:
+                # A callback raised before the stop entry surfaced:
+                # tombstone it, or the next run() would stop there.
+                dead.add(stop_seq)
+            raise
         if until is not None:
             # Heap drained before reaching the stop time: clock jumps to it.
             self._now = until

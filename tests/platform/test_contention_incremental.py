@@ -89,16 +89,20 @@ def _churn(mode, caps, seed, steps=160, degrade_every=0):
                 inc.start(name, route, volume, now, priority=priority),
                 ref.start(name, route, volume, now, priority=priority))
             active.append(name)
-        # Full-state probe after every op, not just the updates: a flow
-        # whose rate silently drifted without an update entry would still
-        # be caught here.
-        assert len(inc) == len(ref)
-        for name in active:
-            assert inc.rate_of(name) == ref.rate_of(name)
-            assert type(inc.rate_of(name)) is type(ref.rate_of(name))
-            assert inc.remaining_volume(name, now) == \
-                ref.remaining_volume(name, now)
+        _assert_same_state(inc, ref, active, now)
     return inc
+
+
+def _assert_same_state(inc, ref, active, now):
+    """Full-state probe after every op, not just the updates: a flow
+    whose rate silently drifted without an update entry would still be
+    caught here."""
+    assert len(inc) == len(ref)
+    for name in active:
+        assert inc.rate_of(name) == ref.rate_of(name)
+        assert type(inc.rate_of(name)) is type(ref.rate_of(name))
+        assert inc.remaining_volume(name, now) == \
+            ref.remaining_volume(name, now)
 
 
 def _assert_updates_equal(got, expected):
@@ -175,3 +179,126 @@ def test_memo_flushes_on_capacity_epoch():
     manager.start("c", (0,), 10, 2)
     assert manager.rate_of("a") == F(1, 2)
     assert manager.rate_of("c") == F(1, 2)
+
+
+#: A leaf-spine fabric in miniature: hosts 0-5 in three racks of two
+#: (access links 0-5, fractional), leaves joined to two spines by links
+#: 6-11.  The leaf-spine overlay's flows: the repository (host 0) feeds
+#: rack heads 2 and 4 across the fabric and its rack-mate 1 directly;
+#: each head feeds its rack-mate.  Each sender has one port, so the
+#: sharing components are single flows and pairs (a head's inbound and
+#: outbound flow share its access link).
+LEAFSPINE_CAPS = {0: F(1, 3), 1: F(1, 5), 2: F(1, 2), 3: F(1, 7),
+                  4: F(1, 4), 5: F(1, 3), 6: F(1), 7: F(1), 8: F(1),
+                  9: F(1), 10: F(1), 11: F(1)}
+LEAFSPINE_PORTS = {0: [(0, 6, 8, 2), (0, 6, 10, 4), (0, 1)],
+                   2: [(2, 3)], 4: [(4, 5)]}
+
+
+def _port_churn(mode, seed, steps=200, faults=True):
+    """Twin managers under one-port-per-sender churn on leaf-spine
+    routes; with ``faults``, link kills and degrades join in."""
+    inc = LinkContention(LEAFSPINE_CAPS, mode, incremental=True)
+    ref = LinkContention(LEAFSPINE_CAPS, mode, incremental=False)
+    rng = random.Random(seed)
+    busy = {}  # sender -> its active flow
+    fid = 0
+    for now in range(1, steps + 1):
+        op = rng.random()
+        free = sorted(set(LEAFSPINE_PORTS) - set(busy))
+        if faults and now % 17 == 0:
+            link = rng.choice(sorted(LEAFSPINE_CAPS))
+            if rng.random() < 0.5:
+                k_inc, u_inc = inc.kill_crossing((link,), now)
+                k_ref, u_ref = ref.kill_crossing((link,), now)
+                assert k_inc == k_ref
+                busy = {p: f for p, f in busy.items() if f not in k_inc}
+            else:
+                cap = LEAFSPINE_CAPS[link] * F(rng.randrange(1, 7), 7)
+                u_inc = inc.set_capacity(link, cap, now)
+                u_ref = ref.set_capacity(link, cap, now)
+            _assert_updates_equal(u_inc, u_ref)
+        elif busy and (op < 0.4 or not free):
+            sender = rng.choice(sorted(busy))
+            name = busy.pop(sender)
+            if op < 0.3:
+                _assert_updates_equal(inc.finish(name, now),
+                                      ref.finish(name, now))
+            else:
+                rem_inc, u_inc = inc.pause(name, now)
+                rem_ref, u_ref = ref.pause(name, now)
+                assert rem_inc == rem_ref and type(rem_inc) is type(rem_ref)
+                _assert_updates_equal(u_inc, u_ref)
+        else:
+            sender = rng.choice(free)
+            fid += 1
+            name = f"f{fid}"
+            route = rng.choice(LEAFSPINE_PORTS[sender])
+            volume = rng.randrange(1, 50)
+            priority = rng.randrange(3) if mode == "selfish" else None
+            _assert_updates_equal(
+                inc.start(name, route, volume, now, priority=priority),
+                ref.start(name, route, volume, now, priority=priority))
+            busy[sender] = name
+        _assert_same_state(inc, ref, sorted(busy.values()), now)
+    return inc
+
+
+@pytest.mark.parametrize("mode", ["maxmin", "fairshare", "selfish"])
+@pytest.mark.parametrize("seed", range(6))
+def test_churn_leafspine_pairs(mode, seed):
+    """One- and two-flow components, the shape of leaf-spine runs: the
+    direct settles must match the reference flow for flow and update
+    for update, across kills and capacity epochs."""
+    manager = _port_churn(mode, seed)
+    assert manager.settles_direct > 0
+
+
+def test_direct_path_serves_every_pair_and_lone_settle():
+    """Without kills or degrades every settle of the leaf-spine churn
+    involves one or two flows, and the direct path serves each of them
+    (no closure walk); the solver ledger still balances, and pairs
+    revisit memoized signatures."""
+    manager = _port_churn("maxmin", seed=7, steps=400, faults=False)
+    stats = manager.stats()
+    settles = stats["settles_full"] + stats["settles_incremental"]
+    assert stats["settles_direct"] == settles
+    solves = (stats["solves_trivial"] + stats["solves_int"]
+              + stats["solves_fraction"] + stats["memo_hits"])
+    assert solves == settles
+    assert stats["memo_hits"] > stats["solves_int"] > 0
+    assert manager._pairs  # the pair memo served the two-flow starts
+
+
+def test_pair_memo_flushes_on_capacity_epoch():
+    """A pair's memoized rates must not survive a capacity change."""
+    manager = LinkContention({0: F(4), 1: F(2), 2: F(4)}, "maxmin")
+    manager.start("a", (0, 1), 10, 0)
+    manager.start("b", (1, 2), 10, 0)
+    assert manager._pairs
+    assert manager.rate_of("a") == manager.rate_of("b") == F(1)
+    manager.set_capacity(1, F(1), 1)
+    assert not manager._pairs
+    assert manager.rate_of("a") == F(1, 2)
+    manager.finish("b", 2)
+    assert manager.rate_of("a") == F(1)
+    # Rebuild the same pair: the direct path must solve the new epoch,
+    # not hand back the old rate 1.
+    direct = manager.settles_direct
+    manager.start("c", (1, 2), 10, 2)
+    assert manager.settles_direct == direct + 1
+    assert manager.rate_of("a") == manager.rate_of("c") == F(1, 2)
+
+
+@pytest.mark.parametrize("mode", ["maxmin", "fairshare"])
+def test_direct_settles_keep_every_counter(mode, monkeypatch):
+    """The direct paths record each settle exactly as ``_settle`` does:
+    with them switched off, every other counter reads the same."""
+    direct = _port_churn(mode, seed=3, steps=300).stats()
+    monkeypatch.setattr(LinkContention, "_settle_pair",
+                        lambda *args: None)
+    monkeypatch.setattr(LinkContention, "_settle_alone",
+                        lambda *args: None)
+    generic = _port_churn(mode, seed=3, steps=300).stats()
+    assert direct.pop("settles_direct") > generic.pop("settles_direct")
+    assert direct == generic

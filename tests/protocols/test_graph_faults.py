@@ -32,6 +32,7 @@ from repro.platform import (
 )
 from repro.platform.generator import generate_tree
 from repro.protocols import (
+    GraphProtocolEngine,
     PriorityRule,
     ProtocolConfig,
     reassign_orphans,
@@ -279,6 +280,31 @@ class TestOverlayReelection:
         assert result.crashed_node_ids == (head,)
         assert result.crash_times == (40,)
         assert len(result.completion_times) == 150
+
+    def test_head_crash_reroutes_the_orphans(self):
+        """Orphans re-parented by a head crash take routes from their
+        new parents, also when an earlier fault already ran the
+        driver's one full refresh (later refreshes are event-scoped)."""
+        graph = _leafspine()
+        head, mates = _head_and_mates(graph)
+        spine_link = max(graph.adj[graph.num_nodes - 1].values())
+        schedule = FaultSchedule([EdgeFailureEvent(at_time=10,
+                                                   link=spine_link),
+                                  CrashEvent(at_time=40, node=head)])
+        engine = GraphProtocolEngine(graph, CONFIG, 150,
+                                     overlay=topology_overlay(graph),
+                                     faults=schedule, check_invariants=True)
+        engine.run()
+        fresh = engine.graph.copy()
+        hosts = engine.overlay.hosts
+        moved = 0
+        for agent in engine.nodes:
+            if agent.is_root or not agent.alive or not agent.parent.alive:
+                continue
+            assert agent.route == fresh.route(hosts[agent.parent.id],
+                                              hosts[agent.id])
+            moved += hosts[agent.id] in mates
+        assert moved == len(mates)
 
 
 class TestRecovery:

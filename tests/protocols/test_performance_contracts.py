@@ -10,9 +10,11 @@ import pytest
 from repro.experiments.fig4 import FIG4_CONFIGS
 from repro.platform import PlatformGraph, PlatformTree, generate_tree
 from repro.platform.examples import figure2a_tree
-from repro.platform.faults import CrashEvent, FaultSchedule
+from repro.platform.faults import (CrashEvent, EdgeFailureEvent,
+                                   EdgeRepairEvent, FaultSchedule)
 from repro.platform.generator import PAPER_DEFAULTS
-from repro.protocols import ProtocolConfig, simulate
+from repro.protocols import (GraphFaultDriver, ProtocolConfig, simulate,
+                             simulate_graph)
 from repro.protocols.agents import NodeAgent
 
 IC3 = ProtocolConfig.interruptible(3)
@@ -157,6 +159,44 @@ class TestRouteRefreshCost:
         fresh = graph.copy()
         assert routes == {(s, d): fresh.route_or_none(s, d)
                           for s, d in routes}
+
+    def test_access_link_fault_reroutes_only_its_host(self, searches,
+                                                      monkeypatch):
+        """A host's access link failing and healing patches every tree
+        in place (no search), and the refresh re-checks only the host
+        behind it.  An unused spine link fails first, so that the
+        driver's one full refresh is behind it."""
+        graph = self._fabric()
+        host, leaf = 3, 7  # rack 1 (hosts 2-3): host 2 heads it
+        faults = FaultSchedule([
+            EdgeFailureEvent(at_time=5, link=graph.adj[8][10]),
+            EdgeFailureEvent(at_time=20, link=graph.adj[host][leaf]),
+            EdgeRepairEvent(at_time=40, link=graph.adj[host][leaf])])
+        checked = []
+        route_or_none = PlatformGraph.route_or_none
+
+        def recorded(graph, src, dst):
+            checked.append((src, dst))
+            return route_or_none(graph, src, dst)
+
+        monkeypatch.setattr(PlatformGraph, "route_or_none", recorded)
+        refreshes = []
+        refresh = GraphFaultDriver._refresh_routes
+
+        def scoped(driver, *args, **kwargs):
+            checked.clear()
+            before = searches[0]
+            refresh(driver, *args, **kwargs)
+            refreshes.append((driver.env.now, searches[0] - before,
+                              list(checked)))
+
+        monkeypatch.setattr(GraphFaultDriver, "_refresh_routes", scoped)
+        result = simulate_graph(graph, IC3, 60, faults=faults)
+        assert result.num_tasks == 60
+        first, down, up = refreshes
+        assert first[0] == 5 and len(first[2]) == len(graph.hosts) - 1
+        assert down == (20, 0, [(2, host)])
+        assert up == (40, 0, [(2, host)])
 
 
 class TestMemoryShape:

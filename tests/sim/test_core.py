@@ -180,6 +180,25 @@ class TestRun:
         env.run()
         assert out == [1, 2]
 
+    @pytest.mark.parametrize("bound", [10, Fraction(21, 2)])
+    def test_raising_callback_leaves_no_stop_behind(self, bound):
+        """A run(until=t) cut short by a raising callback must not leave
+        its stop entry queued: the next run() drains the calendar."""
+        env = Environment()
+        out = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        env.call_in(1, boom)
+        env.call_in(20, out.append, "late")
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run(until=bound)
+        env.run()
+        assert out == ["late"]
+        assert env.now == 20
+        assert env.is_empty()
+
     def test_processed_count_increments(self):
         env = Environment()
         for _ in range(4):
